@@ -22,6 +22,7 @@ from .tables import (
     BaseMismatch,
     FiniteSemimodule,
     FiniteSemiring,
+    InvalidStructure,
     same_semiring,
     semiring_as_module,
     validate_semimodule,
@@ -341,7 +342,7 @@ def enumerate_semirings(
             }
             try:
                 structure = validate_semiring(data, require_commutative=require_commutative)
-            except Exception:
+            except InvalidStructure:
                 continue
             entries.append(structure)
     if dedup:
@@ -432,7 +433,7 @@ def enumerate_semimodules(semiring: FiniteSemiring, order: int) -> list[CatalogE
                 }
                 try:
                     found.append(validate_semimodule(semiring, data))
-                except Exception:
+                except InvalidStructure:
                     pass
                 return
             s = free_scalars[idx]
@@ -487,6 +488,3 @@ def are_isomorphic(a: FiniteSemiring, b: FiniteSemiring) -> bool:
             return True
     return False
 
-
-def contains_isomorphic(entries: list[CatalogEntry], target: FiniteSemiring) -> bool:
-    return any(are_isomorphic(e.structure, target) for e in entries)

@@ -41,9 +41,16 @@ from .tables import (
 SCHEMA_PREFIX = "semiringlab"
 
 
+class NotAnObject(ValueError):
+    """An input file whose top-level JSON value is not an object."""
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise NotAnObject(f"{path}: top level must be a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -22,6 +22,7 @@ from .tables import (
     FiniteSemiring,
     InvalidStructure,
     Subset,
+    additive_closure,
     same_semiring,
     validate_semiring,
 )
@@ -112,21 +113,6 @@ def zero_scalar_slice(instance: ExpectationInstance) -> frozenset[int]:
     return frozenset(instance.index_of(s_zero, x) for x in instance.factor_module.elements())
 
 
-def _additive_closure(semiring: FiniteSemiring, seed: frozenset[int]) -> frozenset[int]:
-    members = set(seed)
-    frontier = set(seed)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in members:
-                s = semiring.add(a, b)
-                if s not in members:
-                    fresh.add(s)
-        members |= fresh
-        frontier = fresh
-    return frozenset(members)
-
-
 def zero_m_ideal_nilpotency(instance: ExpectationInstance) -> int:
     """Least k with the k-th power of the zero-scalar slice equal to {zero}.
 
@@ -136,10 +122,10 @@ def zero_m_ideal_nilpotency(instance: ExpectationInstance) -> int:
     """
     product = instance.product
     slice_ideal = zero_scalar_slice(instance)
-    zero_only = frozenset({product.zero})
+    zero_only = 1 << product.zero
     k_fold = slice_ideal
     for k in range(1, product.size + 2):
-        if _additive_closure(product, k_fold) == zero_only:
+        if additive_closure(product.add_table, sum(1 << i for i in k_fold)) == zero_only:
             return k
         k_fold = frozenset(product.mul(a, b) for a in k_fold for b in slice_ideal)
     raise RuntimeError("zero-scalar slice failed to nilpotate within the carrier bound")

@@ -2,27 +2,38 @@
 
 An ideal is a nonempty subset closed under addition that absorbs
 multiplication by arbitrary elements; a subsemimodule is closed under
-addition and under the scalar action.  Every predicate here is an
-exhaustive scan; element powers are chased at most ``size`` steps, which
-suffices on a finite carrier because the power sequence cycles by then.
+addition and under the scalar action.  An ideal is thus a subsemimodule of
+the semiring over itself, and one closure core over int bitmasks serves
+both: the least closed set containing a seed is the additive closure of
+zero and the scalar multiples of the seed.  One absorbing pass suffices
+because the validators enforce distributivity, ``1*x = x`` and ``0*x = 0``.
+Enumeration is Ganter's NextClosure (*Two basic algorithms in concept
+analysis*, 1984/2010), which lists each closed set once, in lectic order;
+the exhaustive subset scan stays as the ``"subsets"`` oracle strategy.
+Element powers are chased at most ``size`` steps, which suffices on a
+finite carrier because the power sequence cycles by then.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Sequence
 
 from .construct import ExpectationInstance
 from .tables import (
     BaseMismatch,
+    Carrier,
     FiniteSemimodule,
     FiniteSemiring,
+    Table,
+    additive_closure,
     same_semimodule,
     same_semiring,
+    semiring_as_module,
 )
 
-SUBSET_SCAN_LIMIT = 12
 DEFAULT_MAX_CARRIER = 64
 
 
@@ -46,200 +57,186 @@ class NotASubmodule(ValueError):
         self.witness = witness
 
 
-def ideal_violation(semiring: FiniteSemiring, members: frozenset[int]) -> tuple[str, tuple[int, ...]] | None:
-    """None if ``members`` is an ideal, else (reason, witness)."""
+def _violation(add_table: Table, action_table: Table, members: frozenset[int], act: str):
     if not members:
         return ("empty", ())
     for a in members:
         for b in members:
-            if semiring.add(a, b) not in members:
+            if add_table[a][b] not in members:
                 return ("add", (a, b))
-    for s in semiring.elements():
+    for s, row in enumerate(action_table):
         for a in members:
-            if semiring.mul(s, a) not in members:
-                return ("absorb", (s, a))
+            if row[a] not in members:
+                return (act, (s, a))
     return None
+
+
+def ideal_violation(semiring: FiniteSemiring, members: frozenset[int]) -> tuple[str, tuple[int, ...]] | None:
+    """None if ``members`` is an ideal, else (reason, witness)."""
+    return _violation(semiring.add_table, semiring.mul_table, members, "absorb")
 
 
 def submodule_violation(module: FiniteSemimodule, members: frozenset[int]) -> tuple[str, tuple[int, ...]] | None:
-    if not members:
-        return ("empty", ())
-    for x in members:
-        for y in members:
-            if module.add(x, y) not in members:
-                return ("add", (x, y))
-    for s in module.base.elements():
-        for x in members:
-            if module.act(s, x) not in members:
-                return ("act", (s, x))
-    return None
+    return _violation(module.add_table, module.action_table, members, "act")
 
 
 @dataclass(frozen=True)
-class Ideal:
-    parent: FiniteSemiring
+class _ClosedSubset:
+    parent: Carrier
     members: frozenset[int]
+
+    def __contains__(self, i: int) -> bool:
+        return i in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def indices(self) -> tuple[int, ...]:
+        return tuple(sorted(self.members))
+
+    def is_proper(self) -> bool:
+        return len(self.members) < self.parent.size
+
+
+@dataclass(frozen=True)
+class Ideal(_ClosedSubset):
+    parent: FiniteSemiring
 
     def __post_init__(self) -> None:
         bad = ideal_violation(self.parent, self.members)
         if bad is not None:
             raise NotAnIdeal(f"not an ideal: fails {bad[0]} closure at {bad[1]}", bad[1])
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def is_proper(self) -> bool:
-        return len(self.members) < self.parent.size
-
 
 @dataclass(frozen=True)
-class Subsemimodule:
+class Subsemimodule(_ClosedSubset):
     parent: FiniteSemimodule
-    members: frozenset[int]
 
     def __post_init__(self) -> None:
         bad = submodule_violation(self.parent, self.members)
         if bad is not None:
             raise NotASubmodule(f"not a subsemimodule: fails {bad[0]} closure at {bad[1]}", bad[1])
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
 
-    def __len__(self) -> int:
-        return len(self.members)
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
-    def is_proper(self) -> bool:
-        return len(self.members) < self.parent.size
+def _mask(members: Iterable[int]) -> int:
+    out = 0
+    for i in members:
+        out |= 1 << i
+    return out
+
+
+class _ClosureSystem:
+    """Subsemimodules of one module as int bitmasks; ideals are those of the self-module."""
+
+    def __init__(self, module: FiniteSemimodule):
+        self.size = module.size
+        self.add_table = module.add_table
+        self.zero_bit = 1 << module.zero
+        self.absorb = [_mask(row[g] for row in module.action_table) | self.zero_bit for g in range(self.size)]
+
+    def absorbed(self, seed: int) -> int:
+        """Zero plus every scalar multiple of the elements of ``seed``."""
+        mask = self.zero_bit
+        for g in _bits(seed):
+            mask |= self.absorb[g]
+        return mask
+
+    def close(self, gens: Iterable[int]) -> frozenset[int]:
+        """Least closed set containing ``gens``."""
+        return frozenset(_bits(additive_closure(self.add_table, self.absorbed(_mask(gens)))))
+
+    def closed_sets(self) -> Iterator[int]:
+        """NextClosure: every closed set once, in lectic order, ending with the carrier.
+
+        The successor of ``current`` is the closure of ``below | {i}`` for
+        the largest i outside ``current`` whose closure adds nothing below i
+        (``below`` is ``current`` cut to the indices under i).  Closure only
+        grows a set, so a candidate whose absorbed seed already has a new
+        element below i is dropped before its additive closure is taken.
+        """
+        full = (1 << self.size) - 1
+        current = additive_closure(self.add_table, self.zero_bit)
+        yield current
+        while current != full:
+            for i in reversed(range(self.size)):
+                bit = 1 << i
+                if current & bit:
+                    continue
+                below = current & (bit - 1)
+                seed = self.absorbed(below) | self.absorb[i]
+                if seed & (bit - 1) != below:
+                    continue
+                candidate = additive_closure(self.add_table, seed)
+                if candidate & (bit - 1) == below:
+                    break
+            current = candidate
+            yield current
 
 
 def ideal_closure(semiring: FiniteSemiring, gens: Iterable[int]) -> Ideal:
-    """Least ideal containing ``gens``: alternate add-closure and absorb-closure."""
-    members = set(gens)
-    members.add(semiring.zero)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(members)
-        for a in snapshot:
-            for b in snapshot:
-                s = semiring.add(a, b)
-                if s not in members:
-                    members.add(s)
-                    changed = True
-        for s in semiring.elements():
-            for a in list(members):
-                p = semiring.mul(s, a)
-                if p not in members:
-                    members.add(p)
-                    changed = True
-    return Ideal(semiring, frozenset(members))
+    """Least ideal containing ``gens``."""
+    return Ideal(semiring, _ClosureSystem(semiring_as_module(semiring)).close(gens))
 
 
 def submodule_closure(module: FiniteSemimodule, gens: Iterable[int]) -> Subsemimodule:
-    members = set(gens)
-    members.add(module.zero)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(members)
-        for x in snapshot:
-            for y in snapshot:
-                s = module.add(x, y)
-                if s not in members:
-                    members.add(s)
-                    changed = True
-        for s in module.base.elements():
-            for x in list(members):
-                p = module.act(s, x)
-                if p not in members:
-                    members.add(p)
-                    changed = True
-    return Subsemimodule(module, frozenset(members))
+    """Least subsemimodule containing ``gens``."""
+    return Subsemimodule(module, _ClosureSystem(module).close(gens))
 
 
-def _sorted_sets(found: set[frozenset[int]]) -> list[frozenset[int]]:
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-def _enumerate_closed_sets(size, zero, violation, closure_of, principal_points, strategy):
-    """Shared enumerator: exact subset scan at small size, join-generation above."""
-    if strategy == "auto":
-        strategy = "subsets" if size <= SUBSET_SCAN_LIMIT else "lattice"
-    found: set[frozenset[int]] = set()
-    if strategy == "subsets":
-        others = [i for i in range(size) if i != zero]
-        for r in range(len(others) + 1):
-            for combo in itertools.combinations(others, r):
-                members = frozenset(combo) | {zero}
-                if violation(members) is None:
-                    found.add(members)
-    elif strategy == "lattice":
-        found.add(closure_of(()))
-        for a in principal_points:
-            found.add(closure_of((a,)))
-        worklist = list(found)
-        while worklist:
-            current = worklist.pop()
-            for other in list(found):
-                join = closure_of(tuple(current | other))
-                if join not in found:
-                    found.add(join)
-                    worklist.append(join)
+def _closed_sets(module: FiniteSemimodule, violation, strategy: str, max_size: int) -> list[frozenset[int]]:
+    """Member sets of every subsemimodule, sorted by size then members."""
+    if module.size > max_size:
+        raise CarrierTooLarge(f"carrier size {module.size} exceeds bound {max_size}")
+    if strategy == "lattice":
+        found = [frozenset(_bits(mask)) for mask in _ClosureSystem(module).closed_sets()]
+    elif strategy == "subsets":
+        zero = module.zero
+        others = [i for i in module.elements() if i != zero]
+        found = [
+            members
+            for r in range(len(others) + 1)
+            for combo in itertools.combinations(others, r)
+            if violation(members := frozenset(combo) | {zero}) is None
+        ]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _sorted_sets(found)
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def enumerate_ideals(
     semiring: FiniteSemiring,
     *,
-    strategy: str = "auto",
+    strategy: str = "lattice",
     max_size: int = DEFAULT_MAX_CARRIER,
 ) -> list[Ideal]:
-    """All ideals, deduplicated and sorted by size then members.
+    """All ideals, sorted by size then members.
 
-    Below the subset-scan limit every subset containing zero is tested
-    directly; above it, ideals are generated as joins of principal ideals
-    (every ideal is the join of the principal ideals of its elements).
+    The default ``"lattice"`` strategy lists them with Ganter's NextClosure
+    over the bitmask closure core, as the subsemimodules of the semiring
+    over itself; ``"subsets"`` tests every subset containing zero and is
+    the core's oracle.  Each returned Ideal is verified by its constructor.
     """
-    if semiring.size > max_size:
-        raise CarrierTooLarge(f"carrier size {semiring.size} exceeds bound {max_size}")
-    sets = _enumerate_closed_sets(
-        semiring.size,
-        semiring.zero,
-        lambda members: ideal_violation(semiring, members),
-        lambda gens: ideal_closure(semiring, gens).members,
-        semiring.elements(),
-        strategy,
-    )
+    module = semiring_as_module(semiring)
+    sets = _closed_sets(module, partial(ideal_violation, semiring), strategy, max_size)
     return [Ideal(semiring, s) for s in sets]
 
 
 def enumerate_subsemimodules(
     module: FiniteSemimodule,
     *,
-    strategy: str = "auto",
+    strategy: str = "lattice",
     max_size: int = DEFAULT_MAX_CARRIER,
 ) -> list[Subsemimodule]:
-    if module.size > max_size:
-        raise CarrierTooLarge(f"carrier size {module.size} exceeds bound {max_size}")
-    sets = _enumerate_closed_sets(
-        module.size,
-        module.zero,
-        lambda members: submodule_violation(module, members),
-        lambda gens: submodule_closure(module, gens).members,
-        module.elements(),
-        strategy,
-    )
+    """All subsemimodules, sorted by size then members; strategies as for enumerate_ideals."""
+    sets = _closed_sets(module, partial(submodule_violation, module), strategy, max_size)
     return [Subsemimodule(module, s) for s in sets]
 
 
@@ -257,6 +254,16 @@ def is_subtractive(subset: Ideal | Subsemimodule) -> bool:
 def _require_proper(subset: Ideal | Subsemimodule) -> None:
     if not subset.is_proper():
         raise NotProper("predicate is defined only for proper subsets of the carrier")
+
+
+def _power_in(semiring: FiniteSemiring, b: int, members: frozenset[int]) -> bool:
+    """True iff one of b, b^2, ..., b^size lies in ``members``."""
+    power = b
+    for _ in range(semiring.size):
+        if power in members:
+            return True
+        power = semiring.mul(power, b)
+    return False
 
 
 def is_prime(ideal: Ideal) -> bool:
@@ -293,14 +300,7 @@ def is_primary(ideal: Ideal) -> bool:
         if a in members:
             continue
         for b in semiring.elements():
-            if semiring.mul(a, b) not in members:
-                continue
-            power = b
-            for _ in range(semiring.size):
-                if power in members:
-                    break
-                power = semiring.mul(power, b)
-            else:
+            if semiring.mul(a, b) in members and not _power_in(semiring, b, members):
                 return False
     return True
 
@@ -308,15 +308,7 @@ def is_primary(ideal: Ideal) -> bool:
 def radical(ideal: Ideal) -> Ideal:
     """Elements with some power in the ideal (powers chased up to the carrier size)."""
     semiring = ideal.parent
-    members = set()
-    for s in semiring.elements():
-        power = s
-        for _ in range(semiring.size):
-            if power in ideal.members:
-                members.add(s)
-                break
-            power = semiring.mul(power, s)
-    return Ideal(semiring, frozenset(members))
+    return Ideal(semiring, frozenset(s for s in semiring.elements() if _power_in(semiring, s, ideal.members)))
 
 
 def residual(submodule: Subsemimodule) -> Ideal:
@@ -345,12 +337,7 @@ def is_primary_submodule(submodule: Subsemimodule) -> bool:
         for x in module.elements():
             if x in submodule.members or module.act(s, x) not in submodule.members:
                 continue
-            power = s
-            for _ in range(semiring.size):
-                if power in carriers:
-                    break
-                power = semiring.mul(power, s)
-            else:
+            if not _power_in(semiring, s, carriers):
                 return False
     return True
 

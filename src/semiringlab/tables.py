@@ -403,6 +403,19 @@ def v_set(structure: Carrier) -> Subset:
     return Subset(structure, members)
 
 
+def additive_closure(add_table: Table, mask: int) -> int:
+    """Least superset of the bitmask ``mask`` closed under a commutative addition table."""
+    members = [i for i in range(len(add_table)) if mask >> i & 1]
+    for i, a in enumerate(members):  # walks the members appended below, too
+        row = add_table[a]
+        for b in members[: i + 1]:
+            s = row[b]
+            if not mask >> s & 1:
+                mask |= 1 << s
+                members.append(s)
+    return mask
+
+
 def is_commutative_mul(semiring: FiniteSemiring) -> bool:
     """True iff the multiplication table is symmetric."""
     return _first_noncommutative(semiring.mul_table, semiring.size) is None

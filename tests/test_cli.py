@@ -135,6 +135,16 @@ def test_missing_file_is_an_error(capsys):
     assert main(["validate", "does-not-exist.json"]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "ideals"])
+@pytest.mark.parametrize("payload", [[1, 2], 5, "zmod_4", None])
+def test_non_object_json_is_a_typed_error(capsys, tmp_path, command, payload):
+    path = write(tmp_path / "top.json", payload)
+    argv = [command, path] if command == "validate" else [command, "--instance", path]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a JSON object" in err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

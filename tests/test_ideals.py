@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiringlab import (
     Ideal,
@@ -11,6 +13,8 @@ from semiringlab import (
     box_ideal,
     build_expectation,
     builtin,
+    builtin_pairs,
+    default_grid,
     enumerate_ideals,
     enumerate_subsemimodules,
     ideal_closure,
@@ -26,6 +30,8 @@ from semiringlab import (
     residual,
     self_module,
     submodule_radical,
+    validate_semimodule,
+    validate_semiring,
     zmod_quotient_module,
 )
 
@@ -58,11 +64,100 @@ def test_enumeration_matches_definition_oracle(name):
 def test_enumeration_strategies_agree_on_products():
     z4 = builtin("zmod_4").structure
     small = build_expectation(z4, zmod_quotient_module(4, 2)).product
-    large = build_expectation(z4, self_module(z4)).product  # past the subset-scan limit
+    large = build_expectation(z4, self_module(z4)).product
     for product in (small, large):
         subsets = [i.members for i in enumerate_ideals(product, strategy="subsets")]
         lattice = [i.members for i in enumerate_ideals(product, strategy="lattice")]
         assert subsets == lattice
+
+
+def test_core_matches_subset_oracle_on_default_grid():
+    seen = set()
+    for cell in default_grid(max_order=3):
+        semiring, module = cell.semiring, cell.module
+        product = build_expectation(semiring, module).product
+        for enumerate_closed, carrier in (
+            (enumerate_ideals, semiring),
+            (enumerate_subsemimodules, module),
+            (enumerate_ideals, product),
+        ):
+            key = (carrier.add_table, getattr(carrier, "mul_table", None) or carrier.action_table)
+            if key in seen:
+                continue
+            seen.add(key)
+            subsets = [c.members for c in enumerate_closed(carrier, strategy="subsets")]
+            lattice = [c.members for c in enumerate_closed(carrier)]
+            assert lattice == subsets, cell.label
+
+
+def _builtin_pair(name, module_name):
+    return next((s, m) for n, s, m in builtin_pairs(max_product=32) if (n, m.name) == (name, module_name))
+
+
+@pytest.mark.parametrize(
+    "name, module_name, count",
+    [("chain_2", "chain_2xchain_2", 391), ("trunc_nat_2", "trunc_nat_2xtrunc_nat_2", 593)],
+)
+def test_pinned_product_ideal_counts(name, module_name, count):
+    product = build_expectation(*_builtin_pair(name, module_name)).product
+    assert product.size == 27
+    assert len(enumerate_ideals(product)) == count
+
+
+def _permutation(size, avoid):
+    """Permutations p of 0..size-1 with p[i] outside ``avoid[i]`` for each key i."""
+    return st.permutations(range(size)).filter(lambda p: all(p[i] not in bad for i, bad in avoid.items()))
+
+
+def _relabel_semiring(s, p):
+    add = [[0] * s.size for _ in range(s.size)]
+    mul = [[0] * s.size for _ in range(s.size)]
+    for a in s.elements():
+        for b in s.elements():
+            add[p[a]][p[b]] = p[s.add(a, b)]
+            mul[p[a]][p[b]] = p[s.mul(a, b)]
+    return validate_semiring({"size": s.size, "zero": p[s.zero], "one": p[s.one], "add": add, "mul": mul})
+
+
+def _relabel_module(m, base, p, q):
+    add = [[0] * m.size for _ in range(m.size)]
+    action = [[0] * m.size for _ in range(base.size)]
+    for x in m.elements():
+        for y in m.elements():
+            add[q[x]][q[y]] = q[m.add(x, y)]
+        for s in m.base.elements():
+            action[p[s]][q[x]] = q[m.act(s, x)]
+    return validate_semimodule(base, {"size": m.size, "zero": q[m.zero], "add": add, "action": action})
+
+
+def _image(closed_sets, relabel):
+    return {frozenset(relabel(i) for i in c.members) for c in closed_sets}
+
+
+_PAIRS = [(s, m) for _n, s, m in builtin_pairs(max_product=16) if s.size >= 3 and m.size >= 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_enumeration_is_label_invariant(data):
+    semiring, module = data.draw(st.sampled_from(_PAIRS))
+    # zero and one leave both their own index and the usual positions 0 and 1
+    p = data.draw(_permutation(semiring.size, {semiring.zero: {0, semiring.zero}, semiring.one: {1, semiring.one}}))
+    q = data.draw(_permutation(module.size, {module.zero: {0, module.zero}}))
+    semiring2 = _relabel_semiring(semiring, p)
+    module2 = _relabel_module(module, semiring2, p, q)
+
+    assert {c.members for c in enumerate_ideals(semiring2)} == _image(enumerate_ideals(semiring), p.__getitem__)
+    assert {c.members for c in enumerate_subsemimodules(module2)} == _image(
+        enumerate_subsemimodules(module), q.__getitem__
+    )
+    inst, inst2 = build_expectation(semiring, module), build_expectation(semiring2, module2)
+
+    def relabel_pair(k):
+        s, x = inst.pair_of(k)
+        return inst2.index_of(p[s], q[x])
+
+    assert {c.members for c in enumerate_ideals(inst2.product)} == _image(enumerate_ideals(inst.product), relabel_pair)
 
 
 def test_closure_examples():
