@@ -23,6 +23,8 @@ from .tables import (
     FiniteSemimodule,
     FiniteSemiring,
     InvalidStructure,
+    first_nonassociative,
+    first_nondistributive,
     same_semiring,
     semiring_as_module,
     validate_semimodule,
@@ -274,25 +276,13 @@ def _symmetric_tables(n: int, identity: int = 0):
         yield table
 
 
-def _associative(table, n: int) -> bool:
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    return False
-    return True
-
-
 def _monoid_tables(n: int):
     for table in _symmetric_tables(n):
-        if _associative(table, n):
+        if first_nonassociative(table, n) is None:
             yield tuple(tuple(row) for row in table)
 
 
-def enumerate_semirings(
-    order: int, *, require_commutative: bool = True, dedup: bool = False
-) -> list[CatalogEntry]:
+def enumerate_semirings(order: int, *, dedup: bool = False) -> list[CatalogEntry]:
     """All semirings of the given order with zero=0 and one=1 fixed.
 
     No isomorphism reduction happens below order 4 (label-sensitivity bugs
@@ -302,10 +292,7 @@ def enumerate_semirings(
     if not 2 <= order <= MAX_ENUM_ORDER:
         raise OrderTooLarge(f"supported orders are 2..{MAX_ENUM_ORDER}, got {order}")
     n = order
-    if require_commutative:
-        free = [(i, j) for i in range(2, n) for j in range(i, n)]
-    else:
-        free = [(i, j) for i in range(2, n) for j in range(2, n)]
+    free = [(i, j) for i in range(2, n) for j in range(i, n)]
     entries = []
     for add in _monoid_tables(n):
         for combo in itertools.product(range(n), repeat=len(free)):
@@ -314,23 +301,8 @@ def enumerate_semirings(
             for x in range(n):
                 mul[x][1] = x
             for (i, j), v in zip(free, combo):
-                mul[i][j] = v
-                if require_commutative:
-                    mul[j][i] = v
-            if not _associative(mul, n):
-                continue
-            distributes = True
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                            distributes = False
-                            break
-                    if not distributes:
-                        break
-                if not distributes:
-                    break
-            if not distributes:
+                mul[i][j] = mul[j][i] = v
+            if first_nonassociative(mul, n) or first_nondistributive(add, mul):
                 continue
             data = {
                 "name": "",
@@ -341,7 +313,7 @@ def enumerate_semirings(
                 "mul": mul,
             }
             try:
-                structure = validate_semiring(data, require_commutative=require_commutative)
+                structure = validate_semiring(data)
             except InvalidStructure:
                 continue
             entries.append(structure)
@@ -380,7 +352,7 @@ def _additive_endomorphisms(add, m: int, zero: int = 0):
         f[zero] = zero
         for pos, v in zip(positions, values):
             f[pos] = v
-        if all(f[add[x][y]] == add[f[x]][f[y]] for x in range(m) for y in range(m)):
+        if first_nondistributive(add, (f,)) is None:
             endos.append(tuple(f))
     return endos
 

@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, metavar="FILE")
     p.add_argument("--oracle", action="store_true", help="compare against path enumeration")
     p.add_argument("--max-paths", type=int, default=20)
-    p.add_argument("--json", metavar="OUT")
     p.set_defaults(func=cmd_expect)
     return parser
 

@@ -133,6 +133,8 @@ class WeightedDag:
                 raise InvalidGraph("edges carry raw (p, v) data; pre-lifted weights are rejected")
             if e.src not in known or e.dst not in known:
                 raise InvalidGraph(f"edge {e.src}->{e.dst} references unknown nodes")
+            if not (math.isfinite(e.p) and all(map(math.isfinite, e.v))):
+                raise InvalidGraph(f"edge {e.src}->{e.dst} has non-finite data p={e.p} v={list(e.v)}")
             if not float(e.p) >= 0.0:
                 raise InvalidGraph(f"edge {e.src}->{e.dst} has negative mass {e.p}")
             if len(e.v) != self.dim:

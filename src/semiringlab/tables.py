@@ -183,13 +183,6 @@ def _entry_violations(table: Table, size: int, axiom: str) -> list[AxiomViolatio
     return out
 
 
-def _triples(na: int, nb: int, nc: int) -> Iterator[tuple[int, int, int]]:
-    for a in range(na):
-        for b in range(nb):
-            for c in range(nc):
-                yield (a, b, c)
-
-
 def _first_noncommutative(table: Table, n: int) -> tuple[int, int] | None:
     for a in range(n):
         for b in range(a + 1, n):
@@ -198,7 +191,8 @@ def _first_noncommutative(table: Table, n: int) -> tuple[int, int] | None:
     return None
 
 
-def _first_nonassociative(table: Table, n: int) -> tuple[int, int, int] | None:
+def first_nonassociative(table: Table, n: int) -> tuple[int, int, int] | None:
+    """First ``(a, b, c)`` with ``(a b) c != a (b c)``, or None."""
     for a in range(n):
         ra = table[a]
         for b in range(n):
@@ -210,6 +204,22 @@ def _first_nonassociative(table: Table, n: int) -> tuple[int, int, int] | None:
     return None
 
 
+def first_nondistributive(add: Table, rows: Table) -> tuple[int, int, int] | None:
+    """First ``(r, x, y)`` with ``rows[r][x + y] != rows[r][x] + rows[r][y]``, or None.
+
+    Each row is a map on the carrier of ``add``.  Left distributivity is
+    ``(add, mul)``, right distributivity ``(add, transpose(mul))`` and the
+    module law ``s(x + y) = sx + sy`` is ``(add, action)``.
+    """
+    for r, row in enumerate(rows):
+        for x, add_x in enumerate(add):
+            rx = add[row[x]]
+            for y, xy in enumerate(add_x):
+                if row[xy] != rx[row[y]]:
+                    return (r, x, y)
+    return None
+
+
 def _first_bad_identity(table: Table, n: int, e: int) -> tuple[int] | None:
     for x in range(n):
         if table[e][x] != x or table[x][e] != x:
@@ -217,12 +227,18 @@ def _first_bad_identity(table: Table, n: int, e: int) -> tuple[int] | None:
     return None
 
 
-def semiring_violations(data: Mapping, *, require_commutative: bool = True) -> list[AxiomViolation]:
-    """Scan all semiring axioms on raw table data; return every violation found.
+def _monoid_violations(table: Table, n: int, e: int, op: str) -> list[AxiomViolation]:
+    """Identity, commutativity and associativity of a commutative monoid table."""
+    scans = (
+        ("identity", _first_bad_identity(table, n, e)),
+        ("commutativity", _first_noncommutative(table, n)),
+        ("associativity", first_nonassociative(table, n)),
+    )
+    return [AxiomViolation(f"{op}_{law}", w) for law, w in scans if w]
 
-    Shape problems (wrong table dimensions, out-of-range zero/one, size < 2)
-    raise SizeMismatch because the axiom scan cannot run on malformed tables.
-    """
+
+def _scan_semiring(data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
+    """Parse the tables of ``data`` once and scan every semiring axiom on them."""
     n = data.get("size")
     if not isinstance(n, int) or n < 2:
         raise SizeMismatch("size must be an integer >= 2 (the identities 0 and 1 must differ)")
@@ -236,82 +252,47 @@ def semiring_violations(data: Mapping, *, require_commutative: bool = True) -> l
     violations = _entry_violations(add, n, "add_entry_range")
     violations += _entry_violations(mul, n, "mul_entry_range")
     if violations:
-        return violations
+        return add, mul, violations
 
     if zero == one:
         violations.append(AxiomViolation("zero_one_distinct", (zero,)))
-
-    w = _first_bad_identity(add, n, zero)
-    if w:
-        violations.append(AxiomViolation("add_identity", w))
-    w = _first_noncommutative(add, n)
-    if w:
-        violations.append(AxiomViolation("add_commutativity", w))
-    w = _first_nonassociative(add, n)
-    if w:
-        violations.append(AxiomViolation("add_associativity", w))
-
-    w = _first_bad_identity(mul, n, one)
-    if w:
-        violations.append(AxiomViolation("mul_identity", w))
-    if require_commutative:
-        w = _first_noncommutative(mul, n)
-        if w:
-            violations.append(AxiomViolation("mul_commutativity", w))
-    w = _first_nonassociative(mul, n)
-    if w:
-        violations.append(AxiomViolation("mul_associativity", w))
-
+    violations += _monoid_violations(add, n, zero, "add")
+    violations += _monoid_violations(mul, n, one, "mul")
     for a in range(n):
         if mul[a][zero] != zero or mul[zero][a] != zero:
             violations.append(AxiomViolation("zero_annihilation", (a,)))
             break
-
-    done = False
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    violations.append(AxiomViolation("left_distributivity", (a, b, c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    done = False
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]:
-                    violations.append(AxiomViolation("right_distributivity", (a, b, c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    return violations
+    w = first_nondistributive(add, mul)
+    if w:
+        violations.append(AxiomViolation("left_distributivity", w))
+    w = first_nondistributive(add, tuple(zip(*mul)))
+    if w:
+        violations.append(AxiomViolation("right_distributivity", w))
+    return add, mul, violations
 
 
-def validate_semiring(data: Mapping, *, require_commutative: bool = True) -> FiniteSemiring:
+def semiring_violations(data: Mapping) -> list[AxiomViolation]:
+    """Scan all semiring axioms on raw table data; return every violation found.
+
+    Shape problems (wrong table dimensions, out-of-range zero/one, size < 2)
+    raise SizeMismatch because the axiom scan cannot run on malformed tables.
+    """
+    return _scan_semiring(data)[2]
+
+
+def validate_semiring(data: Mapping) -> FiniteSemiring:
     """Build a FiniteSemiring from raw table data, or raise InvalidStructure."""
     name = str(data.get("name", ""))
-    violations = semiring_violations(data, require_commutative=require_commutative)
+    add, mul, violations = _scan_semiring(data)
     if violations:
         raise InvalidStructure("semiring", name, violations)
     return FiniteSemiring(
-        size=data["size"],
-        add_table=_parse_table(data["add"], data["size"], data["size"], "add"),
-        mul_table=_parse_table(data["mul"], data["size"], data["size"], "mul"),
-        zero=data["zero"],
-        one=data["one"],
-        name=name,
+        size=data["size"], add_table=add, mul_table=mul, zero=data["zero"], one=data["one"], name=name
     )
 
 
-def semimodule_violations(base: FiniteSemiring, data: Mapping) -> list[AxiomViolation]:
-    """Scan all semimodule axioms of ``data`` over ``base``; return every violation."""
+def _scan_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
+    """Parse the tables of ``data`` once and scan every semimodule axiom over ``base``."""
     m = data.get("size")
     if not isinstance(m, int) or m < 1:
         raise SizeMismatch("size must be an integer >= 1")
@@ -334,18 +315,9 @@ def semimodule_violations(base: FiniteSemiring, data: Mapping) -> list[AxiomViol
     violations = _entry_violations(add, m, "add_entry_range")
     violations += _entry_violations(action, m, "action_entry_range")
     if violations:
-        return violations
+        return add, action, violations
 
-    w = _first_bad_identity(add, m, zero)
-    if w:
-        violations.append(AxiomViolation("add_identity", w))
-    w = _first_noncommutative(add, m)
-    if w:
-        violations.append(AxiomViolation("add_commutativity", w))
-    w = _first_nonassociative(add, m)
-    if w:
-        violations.append(AxiomViolation("add_associativity", w))
-
+    violations += _monoid_violations(add, m, zero, "add")
     for x in range(m):
         if action[base.one][x] != x:
             violations.append(AxiomViolation("action_identity", (x,)))
@@ -359,38 +331,39 @@ def semimodule_violations(base: FiniteSemiring, data: Mapping) -> list[AxiomViol
             violations.append(AxiomViolation("action_zero_module", (s,)))
             break
 
-    def scan(ranges, holds):
-        for witness in _triples(*ranges):
-            if not holds(*witness):
-                return witness
+    def scan(holds):
+        for s in range(n):
+            for t in range(n):
+                for x in range(m):
+                    if not holds(s, t, x):
+                        return (s, t, x)
         return None
 
-    w = scan((n, m, m), lambda s, x, y: action[s][add[x][y]] == add[action[s][x]][action[s][y]])
+    w = first_nondistributive(add, action)
     if w:
         violations.append(AxiomViolation("action_add_module", w))
-    w = scan((n, n, m), lambda s, t, x: action[base.add(s, t)][x] == add[action[s][x]][action[t][x]])
+    w = scan(lambda s, t, x: action[base.add(s, t)][x] == add[action[s][x]][action[t][x]])
     if w:
         violations.append(AxiomViolation("action_add_scalar", w))
-    w = scan((n, n, m), lambda s, t, x: action[base.mul(s, t)][x] == action[s][action[t][x]])
+    w = scan(lambda s, t, x: action[base.mul(s, t)][x] == action[s][action[t][x]])
     if w:
         violations.append(AxiomViolation("action_mul_scalar", w))
-    return violations
+    return add, action, violations
+
+
+def semimodule_violations(base: FiniteSemiring, data: Mapping) -> list[AxiomViolation]:
+    """Scan all semimodule axioms of ``data`` over ``base``; return every violation."""
+    return _scan_semimodule(base, data)[2]
 
 
 def validate_semimodule(base: FiniteSemiring, data: Mapping) -> FiniteSemimodule:
     """Build a FiniteSemimodule over ``base``, or raise InvalidStructure."""
     name = str(data.get("name", ""))
-    violations = semimodule_violations(base, data)
+    add, action, violations = _scan_semimodule(base, data)
     if violations:
         raise InvalidStructure("semimodule", name, violations)
-    m = data["size"]
     return FiniteSemimodule(
-        base=base,
-        size=m,
-        add_table=_parse_table(data["add"], m, m, "add"),
-        action_table=_parse_table(data["action"], base.size, m, "action"),
-        zero=data["zero"],
-        name=name,
+        base=base, size=data["size"], add_table=add, action_table=action, zero=data["zero"], name=name
     )
 
 

@@ -22,6 +22,7 @@ from .construct import (
     embed_s,
     graded_decomposition,
     matrix_iso_check,
+    scalar_slice,
     zero_m_ideal_nilpotency,
     zero_scalar_slice,
 )
@@ -69,9 +70,9 @@ from .numeric import oracle_disagreements, weight_law_failures
 from .tables import (
     FiniteSemimodule,
     FiniteSemiring,
+    InvalidStructure,
     semimodule_to_dict,
     semiring_to_dict,
-    semiring_violations,
     v_set,
     validate_semimodule,
     validate_semiring,
@@ -229,10 +230,31 @@ def _is_graded(ctx: PairContext, members: frozenset[int]) -> bool:
     return True
 
 
+def _full_module_box_scalars(ctx: PairContext, members: frozenset[int]) -> frozenset[int] | None:
+    """The scalar projection of ``members`` if boxing it with the whole module gives the set back."""
+    scalar = frozenset(ctx.instance.pair_of(k)[0] for k in members)
+    return scalar if ctx.box_members(scalar, ctx.full_module.members) == members else None
+
+
+def _annihilator_condition_violations(
+    semiring: FiniteSemiring, module: FiniteSemimodule
+) -> list[tuple[int, int]]:
+    """Pairs of nonzero scalars with zero product where one of them fails to annihilate the module."""
+    ann = annihilator(module).members
+    zero = semiring.zero
+    return [
+        (a, b)
+        for a in semiring.elements()
+        for b in semiring.elements()
+        if semiring.mul(a, b) == zero and a != zero and b != zero and (a not in ann or b not in ann)
+    ]
+
+
 def check_product_is_semiring(ctx: PairContext):
-    violations = semiring_violations(semiring_to_dict(ctx.product))
-    if violations:
-        return FAIL, [str(v) for v in violations]
+    try:
+        ctx.product  # built through the axiom validator
+    except InvalidStructure as exc:
+        return FAIL, [str(v) for v in exc.violations]
     return PASS, None
 
 
@@ -284,7 +306,7 @@ def check_grading(ctx: PairContext):
 
 def check_box_ideal_iff(ctx: PairContext):
     e_ring = ctx.product
-    t0 = frozenset(ctx.instance.index_of(s, ctx.module.zero) for s in ctx.semiring.elements())
+    t0 = scalar_slice(ctx.instance)
     t1 = ctx.t1_set
     for i in ctx.ideals_s:
         for n in ctx.submods_m:
@@ -327,7 +349,7 @@ def check_box_ideal_iff(ctx: PairContext):
 
 def check_box_radical(ctx: PairContext):
     for i, _n, box in ctx.boxables:
-        expected = ctx.box_members(radical(i).members, frozenset(ctx.module.elements()))
+        expected = ctx.box_members(radical(i).members, ctx.full_module.members)
         got = radical(box).members
         if got != expected:
             return FAIL, {
@@ -355,8 +377,7 @@ def check_subtractive_over_slice(ctx: PairContext):
     for j in ctx.ideals_e:
         if not (is_subtractive(j) and ctx.t1_set <= j.members):
             continue
-        scalar = frozenset(ctx.instance.pair_of(k)[0] for k in j.members)
-        if ctx.box_members(scalar, frozenset(ctx.module.elements())) != j.members:
+        if _full_module_box_scalars(ctx, j.members) is None:
             return FAIL, {"ideal": ctx.pairs_of(j.members)}
     return PASS, None
 
@@ -372,8 +393,8 @@ def check_subtractive_primes_are_boxes(ctx: PairContext):
     for p in ctx.primes_e:
         if not is_subtractive(p):
             continue
-        scalar = frozenset(ctx.instance.pair_of(k)[0] for k in p.members)
-        if ctx.box_members(scalar, frozenset(ctx.module.elements())) != p.members:
+        scalar = _full_module_box_scalars(ctx, p.members)
+        if scalar is None:
             return FAIL, {"prime": ctx.pairs_of(p.members)}
         base = Ideal(ctx.semiring, scalar)
         if not (base.is_proper() and is_prime(base) and is_subtractive(base)):
@@ -396,18 +417,17 @@ def check_subtractive_transfer(ctx: PairContext):
 def check_weak_gaussian_shapes(ctx: PairContext):
     if not is_weak_gaussian(ctx.product, ctx.ideals_e):
         return NA, None
-    full = frozenset(ctx.module.elements())
     for p in ctx.primes_e:
-        scalar = frozenset(ctx.instance.pair_of(k)[0] for k in p.members)
-        if ctx.box_members(scalar, full) != p.members:
+        scalar = _full_module_box_scalars(ctx, p.members)
+        if scalar is None:
             return FAIL, {"prime": ctx.pairs_of(p.members)}
         base = Ideal(ctx.semiring, scalar)
         if not (is_prime(base) and is_subtractive(base)):
             return FAIL, {"scalar_part": sorted(scalar)}
     maximals = [j for j in ctx.ideals_e if j.is_proper() and is_maximal(j, ctx.ideals_e)]
     for j in maximals:
-        scalar = frozenset(ctx.instance.pair_of(k)[0] for k in j.members)
-        if ctx.box_members(scalar, full) != j.members:
+        scalar = _full_module_box_scalars(ctx, j.members)
+        if scalar is None:
             return FAIL, {"maximal": ctx.pairs_of(j.members)}
         base = Ideal(ctx.semiring, scalar)
         if not (is_maximal(base, ctx.ideals_s) and is_subtractive(base)):
@@ -416,15 +436,7 @@ def check_weak_gaussian_shapes(ctx: PairContext):
 
 
 def check_weakly_prime_lift(ctx: PairContext):
-    s_ring = ctx.semiring
-    ann = annihilator(ctx.module).members
-    condition = all(
-        a in ann and b in ann
-        for a in s_ring.elements()
-        for b in s_ring.elements()
-        if s_ring.mul(a, b) == s_ring.zero and a != s_ring.zero and b != s_ring.zero
-    )
-    if not condition:
+    if _annihilator_condition_violations(ctx.semiring, ctx.module):
         return PASS, None
     for i in ctx.ideals_s:
         if not i.is_proper() or not is_weakly_prime(i):
@@ -515,7 +527,7 @@ def check_idempotents_formula(ctx: PairContext):
 
 
 def check_nilpotents_formula(ctx: PairContext):
-    expected = ctx.box_members(ctx.nil_s, frozenset(ctx.module.elements()))
+    expected = ctx.box_members(ctx.nil_s, ctx.full_module.members)
     if ctx.nil_e != expected:
         return FAIL, {"nilpotents": ctx.pairs_of(ctx.nil_e)}
     if ideal_violation(ctx.product, ctx.nil_e) is not None:
@@ -524,7 +536,7 @@ def check_nilpotents_formula(ctx: PairContext):
 
 
 def check_zero_divisors_formula(ctx: PairContext):
-    expected = ctx.box_members(ctx.z_s | ctx.z_m, frozenset(ctx.module.elements()))
+    expected = ctx.box_members(ctx.z_s | ctx.z_m, ctx.full_module.members)
     if ctx.z_e != expected:
         return FAIL, {"zero_divisors": ctx.pairs_of(ctx.z_e)}
     return PASS, None
@@ -751,16 +763,7 @@ def weakly_prime_forward_probe() -> dict:
     ideal = Ideal(semiring, frozenset({0, 2}))
     box = box_ideal(instance, ideal, Subsemimodule(module, frozenset(module.elements())))
     box_wp = is_weakly_prime(box)
-    ann = annihilator(module).members
-    violating = [
-        (a, b)
-        for a in semiring.elements()
-        for b in semiring.elements()
-        if semiring.mul(a, b) == semiring.zero
-        and a != semiring.zero
-        and b != semiring.zero
-        and (a not in ann or b not in ann)
-    ]
+    violating = _annihilator_condition_violations(semiring, module)
     condition_holds = not violating
     return {
         "id": "weakly-prime-forward-probe",

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines and
 timings as they happen.
 """
 
+import hashlib
+import json
 import random
 from time import perf_counter
 
@@ -149,6 +151,32 @@ def test_criterion_3_theorem_suite_full_grid():
                 f"{counts['pass']} pass / {counts['fail']} fail / {counts['not-applicable']} n-a")
 
     timed(3, 300.0, body)
+
+
+# sha256 of the default-grid report (seed 0) with every "runtime" field removed,
+# serialized with sorted keys and compact separators.  Any change to a status,
+# witness, statement, label or grid order changes it.
+GOLDEN_REPORT_DIGEST = "cf083773e5ccb6235b8cab137571d7188fc8272e03fb175e521d1eee29b7162b"
+
+
+def _without_runtime(value):
+    if isinstance(value, dict):
+        return {k: _without_runtime(v) for k, v in value.items() if k != "runtime"}
+    if isinstance(value, list):
+        return [_without_runtime(v) for v in value]
+    return value
+
+
+def test_golden_report_digest():
+    def body():
+        _cells, report = full_report()
+        assert report.counts() == {"pass": 2161, "fail": 0, "not-applicable": 221}
+        canonical = json.dumps(_without_runtime(report.to_dict()), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert digest == GOLDEN_REPORT_DIGEST, digest
+        return "report identical to the golden digest apart from runtime fields"
+
+    timed("golden-report", 300.0, body)
 
 
 def test_criterion_4_weakly_prime_forward_probe():

@@ -120,6 +120,27 @@ def test_expect_rejects_cyclic_graph(tmp_path, capsys):
     assert main(["expect", "--graph", path]) == 1
 
 
+def two_node_graph(p, v):
+    return {"d": 1, "nodes": ["s", "t"], "source": "s", "sink": "t",
+            "edges": [{"from": "s", "to": "t", "p": p, "v": v}]}
+
+
+@pytest.mark.parametrize("p, v", [(float("inf"), [1.0]), (float("nan"), [1.0]), (0.5, [float("nan")])])
+def test_expect_rejects_non_finite_edge_data(tmp_path, capsys, p, v):
+    path = write(tmp_path / "bad.json", two_node_graph(p, v))
+    assert main(["expect", "--graph", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "s->t" in captured.err
+    assert captured.out == ""
+
+
+def test_expect_json_option_is_gone(tmp_path):
+    path = write(tmp_path / "g.json", two_node_graph(1.0, [1.0]))
+    with pytest.raises(SystemExit) as err:
+        main(["expect", "--graph", path, "--json", str(tmp_path / "out.json")])
+    assert err.value.code == 2
+
+
 def test_verify_theorems_small_grid(capsys, tmp_path):
     report = tmp_path / "report.json"
     code = main(["verify-theorems", "--max-order", "2", "--seed", "1", "--json", str(report)])

@@ -255,6 +255,17 @@ def test_graph_shape_errors():
         graph_from_dict(dict(base, nodes=["s", "s", "t"]))
 
 
+@pytest.mark.parametrize(
+    "p, v",
+    [(float("inf"), [0.0]), (float("nan"), [0.0]), (1.0, [float("nan")]), (1.0, [float("-inf")])],
+)
+def test_non_finite_edge_data_rejected(p, v):
+    data = {"d": 1, "nodes": ["s", "t"], "source": "s", "sink": "t",
+            "edges": [{"from": "s", "to": "t", "p": p, "v": v}]}
+    with pytest.raises(InvalidGraph, match=r"edge s->t has non-finite data"):
+        graph_from_dict(data)
+
+
 def test_prelifted_weights_rejected():
     with pytest.raises(InvalidGraph):
         WeightedDag(

@@ -177,3 +177,49 @@ def test_relabeling_preserves_validity(perm):
 def test_round_trip_serialization():
     s = validate_semiring(ZMOD4)
     assert validate_semiring(semiring_to_dict(s)) == s
+
+
+MAX3 = [[max(i, j) for j in range(3)] for i in range(3)]
+MAX4 = [[max(i, j) for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        # 2*(1+1) = 2*2 = 1 but 2*1 + 2*1 = 2; mul is symmetric, so both laws fail at (2, 1, 1)
+        (
+            dict(BOOLEAN, size=3, add=[[min(i + j, 2) for j in range(3)] for i in range(3)],
+                 mul=[[0, 0, 0], [0, 1, 2], [0, 2, 1]]),
+            [("left_distributivity", (2, 1, 1)), ("right_distributivity", (2, 1, 1))],
+        ),
+        # x*y = y for x = 1, else 0: every row is additive, but (1+2)*1 = 0 != 1*1 + 2*1 = 1
+        (
+            dict(BOOLEAN, size=3, add=MAX3, mul=[[0, 0, 0], [0, 1, 2], [0, 0, 0]]),
+            [("mul_identity", (2,)), ("mul_commutativity", (1, 2)), ("right_distributivity", (1, 1, 2))],
+        ),
+        # (1+1)+2 = 2 but 1+(1+2) = 1
+        (
+            dict(BOOLEAN, size=3, add=[[0, 1, 2], [1, 0, 0], [2, 0, 0]], mul=[[0, 0, 0], [0, 1, 2], [0, 2, 2]]),
+            [("add_associativity", (1, 1, 2))],
+        ),
+        # (2*3)*3 = 0 but 2*(3*3) = 2
+        (
+            dict(BOOLEAN, size=4, add=MAX4, mul=[[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 0], [0, 3, 0, 1]]),
+            [("mul_associativity", (2, 3, 3)), ("left_distributivity", (2, 1, 2)),
+             ("right_distributivity", (2, 1, 2))],
+        ),
+    ],
+)
+def test_semiring_axiom_witnesses_are_pinned(data, expected):
+    assert [(v.axiom, v.witness) for v in semiring_violations(data)] == expected
+
+
+def test_action_add_module_witness_is_pinned():
+    # scalar 1 swaps 1 and 2 on the chain 0 < 1 < 2: 1(1+2) = 1 but 1*1 + 1*2 = 2
+    base = validate_semiring(BOOLEAN)
+    data = {"size": 3, "zero": 0, "add": MAX3, "action": [[0, 0, 0], [0, 2, 1]]}
+    assert [(v.axiom, v.witness) for v in semimodule_violations(base, data)] == [
+        ("action_identity", (1,)),
+        ("action_add_module", (1, 1, 2)),
+        ("action_mul_scalar", (1, 1, 1)),
+    ]

@@ -1,5 +1,6 @@
 from semiringlab import builtin, run_pair, run_suite, self_module, weakly_prime_forward_probe
-from semiringlab.theorems import CHECKS, FAIL, NA, GridCell, default_grid
+from semiringlab.tables import FiniteSemimodule
+from semiringlab.theorems import CHECKS, FAIL, NA, GridCell, PairContext, check_product_is_semiring, default_grid
 
 
 def test_check_registry_ids_are_unique():
@@ -80,3 +81,13 @@ def test_matrix_rendering_mentions_totals():
     report = run_suite([GridCell("E(boolean, boolean)", b, self_module(b))], seed=0)
     text = report.format_matrix()
     assert "instances: 1" in text and "fail: 0" in text
+
+
+def test_product_check_lists_violated_axioms_of_a_broken_module():
+    # an unvalidated module whose unit scalar acts as zero: (1, 0) is no longer the identity
+    b = builtin("boolean").structure
+    dead = FiniteSemimodule(
+        base=b, size=2, add_table=((0, 1), (1, 1)), action_table=((0, 0), (0, 0)), zero=0
+    )
+    ctx = PairContext(label="E(boolean, dead)", semiring=b, module=dead)
+    assert check_product_is_semiring(ctx) == (FAIL, ["mul_identity(1)"])
