@@ -5,7 +5,8 @@ dimension d.  Addition is componentwise and multiplication is
 (p1*p2, p1*r2 + p2*r1), so lifting an edge with mass p and feature vector v
 to (p, p*v) makes the product along a path equal (prod p, (prod p)*(sum v)),
 and the sum over all source-to-sink paths of a DAG carries both the total
-mass and the mass-weighted feature total in one forward pass.
+mass and the mass-weighted feature total in one forward pass.  A graph indexes
+its outgoing edges once, at load, so load (with its toposort) and the pass are O(V + E).
 
 Equality of weights is tolerance-based (1e-9 relative, 1e-12 absolute):
 double-precision path products at desk scale.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -54,10 +56,13 @@ class NumericWeight:
     r: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.p, NumericWeight) or any(isinstance(x, NumericWeight) for x in self.r):
-            raise TypeError("weights nest raw floats, not other weights")
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "r", tuple(float(x) for x in self.r))
+        try:
+            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "r", tuple(map(float, self.r)))
+        except TypeError:
+            if isinstance(self.p, NumericWeight) or any(isinstance(x, NumericWeight) for x in self.r):
+                raise TypeError("weights nest raw floats, not other weights") from None
+            raise
         if not self.p >= 0.0:
             raise ValueError(f"mass must be nonnegative, got {self.p}")
 
@@ -114,6 +119,8 @@ class WeightedDag:
 
     Edges carry unlifted data; lifting happens inside the traversals, and
     anything weight-shaped on an edge is rejected to prevent double lifting.
+    Load builds the outgoing-edge index (each node's edges in input order)
+    and the topological order in O(V + E); ``outgoing`` is a lookup.
     """
 
     dim: int
@@ -128,6 +135,7 @@ class WeightedDag:
         known = set(self.nodes)
         if self.source not in known or self.sink not in known:
             raise InvalidGraph("source and sink must be declared nodes")
+        out: dict[str, list[GraphEdge]] = {node: [] for node in self.nodes}
         for e in self.edges:
             if isinstance(e.p, NumericWeight) or isinstance(e.v, NumericWeight):
                 raise InvalidGraph("edges carry raw (p, v) data; pre-lifted weights are rejected")
@@ -145,22 +153,23 @@ class WeightedDag:
                 raise InvalidGraph("the source must have no incoming edges")
             if e.src == self.sink:
                 raise InvalidGraph("the sink must have no outgoing edges")
+            out[e.src].append(e)
+        object.__setattr__(self, "_out", {node: tuple(es) for node, es in out.items()})
         object.__setattr__(self, "_topo", self._toposort())
 
     def _toposort(self) -> tuple[str, ...]:
         incoming = {node: 0 for node in self.nodes}
         for e in self.edges:
             incoming[e.dst] += 1
-        ready = [node for node in self.nodes if incoming[node] == 0]
+        ready = deque(node for node in self.nodes if incoming[node] == 0)
         order = []
         while ready:
-            node = ready.pop(0)
+            node = ready.popleft()
             order.append(node)
-            for e in self.edges:
-                if e.src == node:
-                    incoming[e.dst] -= 1
-                    if incoming[e.dst] == 0:
-                        ready.append(e.dst)
+            for e in self._out[node]:  # type: ignore[attr-defined]
+                incoming[e.dst] -= 1
+                if incoming[e.dst] == 0:
+                    ready.append(e.dst)
         if len(order) != len(self.nodes):
             raise CycleDetected("edge list contains a directed cycle")
         return tuple(order)
@@ -169,8 +178,8 @@ class WeightedDag:
     def topological_order(self) -> tuple[str, ...]:
         return self._topo  # type: ignore[attr-defined]
 
-    def outgoing(self, node: str) -> list[GraphEdge]:
-        return [e for e in self.edges if e.src == node]
+    def outgoing(self, node: str) -> tuple[GraphEdge, ...]:
+        return self._out.get(node, ())  # type: ignore[attr-defined]
 
 
 def graph_from_dict(data: Mapping) -> WeightedDag:

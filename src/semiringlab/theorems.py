@@ -10,6 +10,7 @@ of what is being decided.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -308,9 +309,10 @@ def check_box_ideal_iff(ctx: PairContext):
     e_ring = ctx.product
     t0 = scalar_slice(ctx.instance)
     t1 = ctx.t1_set
+    legal_boxes = {(i.members, n.members) for i, n, _box in ctx.boxables}
     for i in ctx.ideals_s:
         for n in ctx.submods_m:
-            legal = ctx._scalar_maps_into(i.members, n.members)
+            legal = (i.members, n.members) in legal_boxes
             members = ctx.box_members(i.members, n.members)
             actually_ideal = ideal_violation(e_ring, members) is None
             if legal != actually_ideal:
@@ -828,7 +830,8 @@ def run_suite(
     """Run all checks over the grid, the numeric sections, and the probes."""
     records: list[CheckRecord] = []
     census: list[str] = []
-    if jobs > 1:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         payload = [
             (
                 cell.label,
@@ -837,8 +840,8 @@ def run_suite(
             )
             for cell in cells
         ]
-        with multiprocessing.Pool(jobs) as pool:
-            for cell_records, cell_census in pool.map(_run_cell_from_dicts, payload):
+        with multiprocessing.Pool(workers) as pool:
+            for cell_records, cell_census in pool.imap(_run_cell_from_dicts, payload, chunksize=1):
                 records.extend(cell_records)
                 census.extend(cell_census)
     else:

@@ -173,3 +173,11 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--order", "9"], ["verify-theorems", "--max-order", "9"]])
+def test_out_of_range_order_exits_one(capsys, argv):
+    # a typed OrderTooLarge error, not a usage error: exit 1, not 2
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: supported orders are ")

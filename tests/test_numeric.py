@@ -68,6 +68,13 @@ def test_negative_mass_rejected():
         lift_edge(-1.0, (0.0,))
 
 
+def test_nested_weights_rejected():
+    with pytest.raises(TypeError, match="weights nest raw floats"):
+        NumericWeight(wone(1), ())
+    with pytest.raises(TypeError, match="weights nest raw floats"):
+        NumericWeight(1.0, (wone(1),))
+
+
 def test_lift_examples():
     assert lift_edge(0.3, (1.0,)).isclose(NumericWeight(0.3, (0.3,)))
     assert lift_edge(0.0, (5.0,)).isclose(wzero(1))
@@ -241,6 +248,73 @@ def test_cycle_rejected_at_load():
                 ],
             }
         )
+
+
+def scan_toposort(g):
+    """Kahn's algorithm with a list queue and a scan of every edge per node."""
+    incoming = {node: 0 for node in g.nodes}
+    for e in g.edges:
+        incoming[e.dst] += 1
+    ready = [node for node in g.nodes if incoming[node] == 0]
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for e in g.edges:
+            if e.src == node:
+                incoming[e.dst] -= 1
+                if incoming[e.dst] == 0:
+                    ready.append(e.dst)
+    return tuple(order)
+
+
+class ScanReference:
+    """The same graph, with order and adjacency found by scanning the edge list."""
+
+    def __init__(self, g):
+        self.dim, self.source, self.sink, self.edges = g.dim, g.source, g.sink, g.edges
+        self.topological_order = scan_toposort(g)
+
+    def outgoing(self, node):
+        return [e for e in self.edges if e.src == node]
+
+
+def shuffled(g, rng):
+    nodes, edges = list(g.nodes), list(g.edges)
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return WeightedDag(dim=g.dim, nodes=tuple(nodes), source=g.source, sink=g.sink, edges=tuple(edges))
+
+
+def index_check_graphs():
+    rng = random.Random(11)
+    graphs = [parallel_graph(), diamond_graph()]
+    # parallel edges s->a, plus a second root x that is the sink's only way in
+    graphs.append(graph_from_dict(
+        {"d": 1, "nodes": ["s", "a", "b", "x", "t"], "source": "s", "sink": "t",
+         "edges": [{"from": "s", "to": "a", "p": 0.5, "v": [1.0]},
+                   {"from": "s", "to": "b", "p": 0.25, "v": [2.0]},
+                   {"from": "s", "to": "a", "p": 0.25, "v": [3.0]},
+                   {"from": "a", "to": "b", "p": 1.0, "v": [0.5]},
+                   {"from": "x", "to": "t", "p": 1.0, "v": [1.0]}]}
+    ))
+    for _ in range(60):
+        g = random_dag(rng)
+        graphs.extend([g, shuffled(g, rng)])
+    return graphs
+
+
+def test_adjacency_index_matches_edge_scans_exactly():
+    graphs = index_check_graphs()
+    assert any(count_paths(g) == 0 for g in graphs)
+    for g in graphs:
+        ref = ScanReference(g)
+        assert g.topological_order == ref.topological_order
+        for node in g.nodes:
+            assert list(g.outgoing(node)) == ref.outgoing(node)
+        assert forward_total(g) == forward_total(ref)
+        assert count_paths(g) == count_paths(ref)
+        assert brute_force_total(g) == brute_force_total(ref)
 
 
 def test_graph_shape_errors():

@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+
+import pytest
+
 from semiringlab import builtin, run_pair, run_suite, self_module, weakly_prime_forward_probe
 from semiringlab.tables import FiniteSemimodule
 from semiringlab.theorems import CHECKS, FAIL, NA, GridCell, PairContext, check_product_is_semiring, default_grid
@@ -72,6 +77,39 @@ def test_parallel_run_matches_sequential():
     cells = default_grid(max_order=2, include_builtins=False)
     sequential = run_suite(cells, seed=0, include_numeric=False)
     parallel = run_suite(cells, seed=0, jobs=2, include_numeric=False)
+    key = lambda report: [(r.theorem, r.instance, r.status, r.witness) for r in report.records]
+    assert key(sequential) == key(parallel)
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, iterable, chunksize):
+        assert chunksize == 1
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("cpus, jobs, expected", [(8, 64, 3), (8, 2, 2), (2, 64, 2), (None, 64, None)])
+def test_jobs_are_bounded_by_cells_and_cpus(monkeypatch, cpus, jobs, expected):
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    cells = default_grid(max_order=2, include_builtins=False)[:3]
+    sequential = run_suite(cells, seed=0, include_numeric=False)
+    parallel = run_suite(cells, seed=0, jobs=jobs, include_numeric=False)
+    # one CPU (cpu_count() unknown) runs the cells in this process, without a pool
+    assert RecordingPool.sizes == ([] if expected is None else [expected])
     key = lambda report: [(r.theorem, r.instance, r.status, r.witness) for r in report.records]
     assert key(sequential) == key(parallel)
 
