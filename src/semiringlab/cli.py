@@ -25,7 +25,7 @@ from .ideals import (
     is_weakly_prime,
     radical,
 )
-from .numeric import ZeroMass, brute_force_total, expectation, forward_total, graph_from_dict
+from .numeric import ZeroMass, brute_force_total, expectation_from_total, forward_total, graph_from_dict
 from .tables import (
     BaseMismatch,
     InvalidStructure,
@@ -236,7 +236,7 @@ def cmd_expect(args) -> int:
     print(f"Z = {total.p!r}")
     print(f"r = {list(total.r)!r}")
     try:
-        print(f"expectation = {list(expectation(graph))!r}")
+        print(f"expectation = {list(expectation_from_total(total))!r}")
     except ZeroMass:
         print("expectation undefined: zero total mass")
     if args.oracle:

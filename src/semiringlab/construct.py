@@ -111,6 +111,17 @@ def scalar_slice(instance: ExpectationInstance) -> frozenset[int]:
     return frozenset(embed_s(instance, s) for s in instance.factor_semiring.elements())
 
 
+def box_members(instance: ExpectationInstance, scalars, vectors) -> frozenset[int]:
+    """Product indices of the pairs (s, x) with s in ``scalars`` and x in ``vectors``."""
+    return frozenset(instance.index_of(s, x) for s in scalars for x in vectors)
+
+
+def projections(instance: ExpectationInstance, members) -> tuple[frozenset[int], frozenset[int]]:
+    """Scalar and module coordinates of the product indices in ``members``."""
+    pairs = [instance.pairs[k] for k in members]
+    return frozenset(s for s, _x in pairs), frozenset(x for _s, x in pairs)
+
+
 def zero_scalar_slice(instance: ExpectationInstance) -> frozenset[int]:
     """Product indices of the pairs (0, x); this set is an ideal of the product."""
     s_zero = instance.factor_semiring.zero

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construct import ExpectationInstance
-from .ideals import ideal_violation
+from .ideals import _power_in, ideal_violation
 from .tables import Carrier, FiniteSemimodule, FiniteSemiring, Subset, semiring_as_module, v_set
 
 
@@ -39,35 +39,24 @@ def additive_idempotents(structure: Carrier) -> Subset:
 
 def nilpotents(semiring: FiniteSemiring) -> Subset:
     """Elements with some power equal to zero (powers chased up to the carrier size)."""
-    members = set()
-    for a in semiring.elements():
-        power = a
-        for _ in range(semiring.size):
-            if power == semiring.zero:
-                members.add(a)
-                break
-            power = semiring.mul(power, a)
-    return Subset(semiring, frozenset(members))
+    zero = frozenset({semiring.zero})
+    return Subset(semiring, frozenset(a for a in semiring.elements() if _power_in(semiring, a, zero)))
 
 
 def zero_divisors(semiring: FiniteSemiring) -> Subset:
     """Elements killed by some nonzero element; zero itself always qualifies."""
-    members = frozenset(
-        a
-        for a in semiring.elements()
-        if any(b != semiring.zero and semiring.mul(a, b) == semiring.zero for b in semiring.elements())
-    )
-    return Subset(semiring, members)
+    return zero_divisors_mod(semiring_as_module(semiring))
 
 
 def zero_divisors_mod(module: FiniteSemimodule) -> Subset:
     """Scalars killing some nonzero module element."""
     if module.size == 1:
         raise EmptyModule("zero-divisors of the trivial module are undefined")
+    zero = module.zero
     members = frozenset(
         s
-        for s in module.base.elements()
-        if any(x != module.zero and module.act(s, x) == module.zero for x in module.elements())
+        for s, row in enumerate(module.action_table)
+        if any(y == zero and x != zero for x, y in enumerate(row))
     )
     return Subset(module.base, members)
 
@@ -146,7 +135,7 @@ def is_strongly_associate(
 
 def is_domainlike(semiring: FiniteSemiring) -> bool:
     """All zero-divisors are nilpotent."""
-    return zero_divisors(semiring).members <= nilpotents(semiring).members
+    return is_domainlike_mod(semiring_as_module(semiring))
 
 
 def is_domainlike_mod(module: FiniteSemimodule) -> bool:
@@ -154,20 +143,21 @@ def is_domainlike_mod(module: FiniteSemimodule) -> bool:
     return zero_divisors_mod(module).members <= nilpotents(module.base).members
 
 
+def _idempotent_sums(semiring: FiniteSemiring, parts) -> set[int]:
+    """Every t + e with t in ``parts`` and e idempotent."""
+    e_set = idempotents(semiring).members
+    return {semiring.add(t, e) for t in parts for e in e_set}
+
+
 def is_clean(semiring: FiniteSemiring) -> bool:
     """Every element is a unit plus an idempotent."""
-    u = units(semiring).members
-    e_set = idempotents(semiring).members
-    sums = {semiring.add(u_, e_) for u_ in u for e_ in e_set}
-    return all(a in sums for a in semiring.elements())
+    return len(_idempotent_sums(semiring, units(semiring).members)) == semiring.size
 
 
 def is_almost_clean(semiring: FiniteSemiring) -> bool:
     """Every element is a non-zero-divisor plus an idempotent."""
     regular = frozenset(semiring.elements()) - zero_divisors(semiring).members
-    e_set = idempotents(semiring).members
-    sums = {semiring.add(t, e_) for t in regular for e_ in e_set}
-    return all(a in sums for a in semiring.elements())
+    return len(_idempotent_sums(semiring, regular)) == semiring.size
 
 
 def almost_clean_by_parts(semiring: FiniteSemiring, module: FiniteSemimodule) -> bool:
@@ -179,9 +169,7 @@ def almost_clean_by_parts(semiring: FiniteSemiring, module: FiniteSemimodule) ->
     if module.size > 1:
         bad = bad | zero_divisors_mod(module).members
     good = frozenset(semiring.elements()) - bad
-    e_set = idempotents(semiring).members
-    sums = {semiring.add(t, e_) for t in good for e_ in e_set}
-    return all(a in sums for a in semiring.elements())
+    return len(_idempotent_sums(semiring, good)) == semiring.size
 
 
 def is_weakly_clean(semiring: FiniteSemiring, *, literal: bool = False) -> bool:
@@ -194,7 +182,7 @@ def is_weakly_clean(semiring: FiniteSemiring, *, literal: bool = False) -> bool:
     """
     u_set = units(semiring).members
     e_set = idempotents(semiring).members
-    sums = {semiring.add(u_, e_) for u_ in u_set for e_ in e_set}
+    sums = _idempotent_sums(semiring, u_set)
     if literal:
         absorbed = any(semiring.add(u_, e_) == u_ for u_ in u_set for e_ in e_set)
         return all(a in sums or absorbed for a in semiring.elements())

@@ -7,6 +7,11 @@ the semiring over itself, and one closure core over int bitmasks serves
 both: the least closed set containing a seed is the additive closure of
 zero and the scalar multiples of the seed.  One absorbing pass suffices
 because the validators enforce distributivity, ``1*x = x`` and ``0*x = 0``.
+A box I x N is an ideal of the product exactly when I lies in the residual
+(N : M), the scalars carrying the whole module into N; ``residual_members``
+is the one test of that, and it decides box legality everywhere.  Each
+predicate has one scan: prime and weakly prime share one, and an ideal is
+primary exactly when it is a primary subsemimodule of the self-module.
 Enumeration is Ganter's NextClosure (*Two basic algorithms in concept
 analysis*, 1984/2010), which lists each closed set once, in lectic order;
 the exhaustive subset scan stays as the ``"subsets"`` oracle strategy.
@@ -21,12 +26,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
-from .construct import ExpectationInstance
+from .construct import ExpectationInstance, box_members, projections
 from .tables import (
     BaseMismatch,
-    Carrier,
     FiniteSemimodule,
     FiniteSemiring,
+    Subset,
     Table,
     additive_closure,
     same_semimodule,
@@ -81,38 +86,22 @@ def submodule_violation(module: FiniteSemimodule, members: frozenset[int]) -> tu
 
 
 @dataclass(frozen=True)
-class _ClosedSubset:
-    parent: Carrier
-    members: frozenset[int]
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def is_proper(self) -> bool:
-        return len(self.members) < self.parent.size
-
-
-@dataclass(frozen=True)
-class Ideal(_ClosedSubset):
+class Ideal(Subset):
     parent: FiniteSemiring
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         bad = ideal_violation(self.parent, self.members)
         if bad is not None:
             raise NotAnIdeal(f"not an ideal: fails {bad[0]} closure at {bad[1]}", bad[1])
 
 
 @dataclass(frozen=True)
-class Subsemimodule(_ClosedSubset):
+class Subsemimodule(Subset):
     parent: FiniteSemimodule
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         bad = submodule_violation(self.parent, self.members)
         if bad is not None:
             raise NotASubmodule(f"not a subsemimodule: fails {bad[0]} closure at {bad[1]}", bad[1])
@@ -251,7 +240,7 @@ def is_subtractive(subset: Ideal | Subsemimodule) -> bool:
     return True
 
 
-def _require_proper(subset: Ideal | Subsemimodule) -> None:
+def _require_proper(subset: Subset) -> None:
     if not subset.is_proper():
         raise NotProper("predicate is defined only for proper subsets of the carrier")
 
@@ -266,18 +255,29 @@ def _power_in(semiring: FiniteSemiring, b: int, members: frozenset[int]) -> bool
     return False
 
 
-def is_prime(ideal: Ideal) -> bool:
-    """ab in I forces a in I or b in I (proper ideals only)."""
+def _prime_scan(ideal: Ideal, exempt: int | None) -> bool:
+    """No product other than ``exempt`` of two elements outside the ideal lands in it."""
     _require_proper(ideal)
-    semiring = ideal.parent
     members = ideal.members
-    for a in semiring.elements():
-        if a in members:
-            continue
-        for b in semiring.elements():
-            if b not in members and semiring.mul(a, b) in members:
+    mul = ideal.parent.mul_table
+    outside = [a for a in ideal.parent.elements() if a not in members]
+    for a in outside:
+        row = mul[a]
+        for b in outside:
+            p = row[b]
+            if p in members and p != exempt:
                 return False
     return True
+
+
+def is_prime(ideal: Ideal) -> bool:
+    """ab in I forces a in I or b in I (proper ideals only)."""
+    return _prime_scan(ideal, None)
+
+
+def is_weakly_prime(ideal: Ideal) -> bool:
+    """Nonzero products landing in the ideal have a factor in it (proper ideals only)."""
+    return _prime_scan(ideal, ideal.parent.zero)
 
 
 def is_maximal(ideal: Ideal, all_ideals: Sequence[Ideal] | None = None) -> bool:
@@ -291,18 +291,35 @@ def is_maximal(ideal: Ideal, all_ideals: Sequence[Ideal] | None = None) -> bool:
     return True
 
 
-def is_primary(ideal: Ideal) -> bool:
-    """ab in I with a not in I forces some power of b into I (proper ideals only)."""
-    _require_proper(ideal)
-    semiring = ideal.parent
-    members = ideal.members
-    for a in semiring.elements():
-        if a in members:
-            continue
-        for b in semiring.elements():
-            if semiring.mul(a, b) in members and not _power_in(semiring, b, members):
-                return False
+def _primary_scan(subset: Subset, module: FiniteSemimodule, carriers: frozenset[int]) -> bool:
+    """sx in the subset with x outside it forces some power of s into ``carriers``.
+
+    Powers are chased once per scalar s that moves some x into the subset.
+    """
+    _require_proper(subset)
+    members = subset.members
+    outside = [x for x in module.elements() if x not in members]
+    for s, row in enumerate(module.action_table):
+        for x in outside:
+            if row[x] in members:
+                if not _power_in(module.base, s, carriers):
+                    return False
+                break
     return True
+
+
+def is_primary(ideal: Ideal) -> bool:
+    """ab in I with a not in I forces some power of b into I (proper ideals only).
+
+    This is the primary test of I in the self-module, whose residual (I : S) is I.
+    """
+    return _primary_scan(ideal, semiring_as_module(ideal.parent), ideal.members)
+
+
+def is_primary_submodule(submodule: Subsemimodule) -> bool:
+    """sx in N with x not in N forces some power of s to carry the module into N."""
+    module = submodule.parent
+    return _primary_scan(submodule, module, residual_members(module, submodule.members))
 
 
 def radical(ideal: Ideal) -> Ideal:
@@ -311,53 +328,24 @@ def radical(ideal: Ideal) -> Ideal:
     return Ideal(semiring, frozenset(s for s in semiring.elements() if _power_in(semiring, s, ideal.members)))
 
 
+def residual_members(module: FiniteSemimodule, members: frozenset[int]) -> frozenset[int]:
+    """Scalars s with s*M inside ``members``: the residual (N : M) as a member set.
+
+    This is the one test of s*M in N; a box I x N is an ideal of the
+    product exactly when I lies in the residual of N.
+    """
+    return frozenset(s for s, row in enumerate(module.action_table) if members.issuperset(row))
+
+
 def residual(submodule: Subsemimodule) -> Ideal:
     """Scalars carrying the whole module into the subsemimodule; always an ideal."""
     module = submodule.parent
-    members = frozenset(
-        s
-        for s in module.base.elements()
-        if all(module.act(s, x) in submodule.members for x in module.elements())
-    )
-    return Ideal(module.base, members)
+    return Ideal(module.base, residual_members(module, submodule.members))
 
 
 def submodule_radical(submodule: Subsemimodule) -> Ideal:
     """Radical of the residual of the subsemimodule."""
     return radical(residual(submodule))
-
-
-def is_primary_submodule(submodule: Subsemimodule) -> bool:
-    """sx in N with x not in N forces some power of s to carry the module into N."""
-    _require_proper(submodule)
-    module = submodule.parent
-    semiring = module.base
-    carriers = residual(submodule).members
-    for s in semiring.elements():
-        for x in module.elements():
-            if x in submodule.members or module.act(s, x) not in submodule.members:
-                continue
-            if not _power_in(semiring, s, carriers):
-                return False
-    return True
-
-
-def is_weakly_prime(ideal: Ideal) -> bool:
-    """Nonzero products landing in the ideal have a factor in it (proper ideals only)."""
-    _require_proper(ideal)
-    semiring = ideal.parent
-    members = ideal.members
-    zero = semiring.zero
-    for a in semiring.elements():
-        if a in members:
-            continue
-        for b in semiring.elements():
-            if b in members:
-                continue
-            p = semiring.mul(a, b)
-            if p != zero and p in members:
-                return False
-    return True
 
 
 def annihilator(module: FiniteSemimodule) -> Ideal:
@@ -366,10 +354,10 @@ def annihilator(module: FiniteSemimodule) -> Ideal:
 
 
 def box_ideal(instance: ExpectationInstance, ideal: Ideal, submodule: Subsemimodule) -> Ideal:
-    """The set I x N as an ideal of the product; raises NotAnIdeal unless I*M lands in N.
+    """The set I x N as an ideal of the product; raises NotAnIdeal unless I lies in (N : M).
 
-    On failure the witness is the action pair (a, x) with a in I and a*x
-    outside N.
+    On failure the witness is the action pair (a, x) with the least a in I
+    outside the residual and the least x with a*x outside N.
     """
     semiring = instance.factor_semiring
     module = instance.factor_module
@@ -377,18 +365,15 @@ def box_ideal(instance: ExpectationInstance, ideal: Ideal, submodule: Subsemimod
         raise BaseMismatch("ideal does not live in the scalar factor")
     if not same_semimodule(submodule.parent, module):
         raise BaseMismatch("subsemimodule does not live in the module factor")
-    for a in sorted(ideal.members):
-        for x in module.elements():
-            if module.act(a, x) not in submodule.members:
-                raise NotAnIdeal(
-                    f"scalar part does not carry the module into the vector part: "
-                    f"{a} * {x} lands outside",
-                    (a, x),
-                )
-    members = frozenset(
-        instance.index_of(a, x) for a in ideal.members for x in submodule.members
-    )
-    return Ideal(instance.product, members)
+    stray = ideal.members - residual_members(module, submodule.members)
+    if stray:
+        a = min(stray)
+        x = next(x for x in module.elements() if module.act(a, x) not in submodule.members)
+        raise NotAnIdeal(
+            f"scalar part does not carry the module into the vector part: {a} * {x} lands outside",
+            (a, x),
+        )
+    return Ideal(instance.product, box_members(instance, ideal.members, submodule.members))
 
 
 def ideal_projections(instance: ExpectationInstance, ideal: Ideal) -> tuple[Ideal, Subsemimodule]:
@@ -400,8 +385,7 @@ def ideal_projections(instance: ExpectationInstance, ideal: Ideal) -> tuple[Idea
     """
     if not same_semiring(ideal.parent, instance.product):
         raise BaseMismatch("ideal does not live in the product")
-    scalar = frozenset(instance.pair_of(k)[0] for k in ideal.members)
-    vector = frozenset(instance.pair_of(k)[1] for k in ideal.members)
+    scalar, vector = projections(instance, ideal.members)
     return (
         Ideal(instance.factor_semiring, scalar),
         Subsemimodule(instance.factor_module, vector),

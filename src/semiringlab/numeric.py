@@ -264,7 +264,11 @@ def brute_force_total(g: WeightedDag, max_paths: int = 20) -> NumericWeight:
 
 def expectation(g: WeightedDag) -> tuple[float, ...]:
     """Expected per-path feature total under path mass normalized by Z."""
-    total = forward_total(g)
+    return expectation_from_total(forward_total(g))
+
+
+def expectation_from_total(total: NumericWeight) -> tuple[float, ...]:
+    """The feature part of a forward total divided by its mass Z; ZeroMass when Z is about 0."""
     if total.p <= TOL_ABS:
         raise ZeroMass(f"total mass {total.p} is numerically zero")
     return tuple(x / total.p for x in total.r)

@@ -125,9 +125,10 @@ class Subset:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        bad = [i for i in self.members if not 0 <= i < self.parent.size]
-        if bad:
-            raise ValueError(f"subset members {sorted(bad)} outside carrier 0..{self.parent.size - 1}")
+        size = self.parent.size
+        if self.members and not (0 <= min(self.members) and max(self.members) < size):
+            bad = [i for i in self.members if not 0 <= i < size]
+            raise ValueError(f"subset members {sorted(bad)} outside carrier 0..{size - 1}")
 
     def __contains__(self, i: int) -> bool:
         return i in self.members
@@ -140,6 +141,9 @@ class Subset:
 
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
+
+    def is_proper(self) -> bool:
+        return len(self.members) < self.parent.size
 
 
 def same_semiring(a: FiniteSemiring, b: FiniteSemiring) -> bool:

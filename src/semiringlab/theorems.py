@@ -19,10 +19,12 @@ from functools import cached_property
 from . import catalog
 from .construct import (
     ExpectationInstance,
+    box_members,
     build_expectation,
     embed_s,
     graded_decomposition,
     matrix_iso_check,
+    projections,
     scalar_slice,
     zero_m_ideal_nilpotency,
     zero_scalar_slice,
@@ -65,6 +67,7 @@ from .ideals import (
     is_weak_gaussian,
     is_weakly_prime,
     radical,
+    residual_members,
     submodule_radical,
 )
 from .numeric import oracle_disagreements, weight_law_failures
@@ -72,11 +75,7 @@ from .tables import (
     FiniteSemimodule,
     FiniteSemiring,
     InvalidStructure,
-    semimodule_to_dict,
-    semiring_to_dict,
     v_set,
-    validate_semimodule,
-    validate_semiring,
 )
 
 PASS = "pass"
@@ -155,25 +154,14 @@ class PairContext:
 
     @cached_property
     def boxables(self) -> list[tuple[Ideal, Subsemimodule, Ideal]]:
-        """(I, N, I box N) for every pair where the box is a legal ideal."""
-        out = []
-        for i in self.ideals_s:
-            for n in self.submods_m:
-                if self._scalar_maps_into(i.members, n.members):
-                    out.append((i, n, box_ideal(self.instance, i, n)))
-        return out
-
-    def _scalar_maps_into(self, scalar_members, module_members) -> bool:
-        return all(
-            self.module.act(a, x) in module_members
-            for a in scalar_members
-            for x in self.module.elements()
-        )
-
-    def box_members(self, scalar_members, module_members) -> frozenset[int]:
-        return frozenset(
-            self.instance.index_of(a, x) for a in scalar_members for x in module_members
-        )
+        """(I, N, I box N) for every pair where the box is a legal ideal: I inside (N : M)."""
+        residuals = [residual_members(self.module, n.members) for n in self.submods_m]
+        return [
+            (i, n, Ideal(self.product, box_members(self.instance, i.members, n.members)))
+            for i in self.ideals_s
+            for n, carriers in zip(self.submods_m, residuals)
+            if i.members <= carriers
+        ]
 
     @cached_property
     def units_s(self) -> frozenset[int]:
@@ -189,7 +177,7 @@ class PairContext:
 
     @cached_property
     def units_e_formula(self) -> frozenset[int]:
-        return self.box_members(self.units_s, self.vset_m)
+        return box_members(self.instance, self.units_s, self.vset_m)
 
     @cached_property
     def z_s(self) -> frozenset[int]:
@@ -233,8 +221,8 @@ def _is_graded(ctx: PairContext, members: frozenset[int]) -> bool:
 
 def _full_module_box_scalars(ctx: PairContext, members: frozenset[int]) -> frozenset[int] | None:
     """The scalar projection of ``members`` if boxing it with the whole module gives the set back."""
-    scalar = frozenset(ctx.instance.pair_of(k)[0] for k in members)
-    return scalar if ctx.box_members(scalar, ctx.full_module.members) == members else None
+    scalar = projections(ctx.instance, members)[0]
+    return scalar if box_members(ctx.instance, scalar, ctx.full_module.members) == members else None
 
 
 def _annihilator_condition_violations(
@@ -313,7 +301,7 @@ def check_box_ideal_iff(ctx: PairContext):
     for i in ctx.ideals_s:
         for n in ctx.submods_m:
             legal = (i.members, n.members) in legal_boxes
-            members = ctx.box_members(i.members, n.members)
+            members = box_members(ctx.instance, i.members, n.members)
             actually_ideal = ideal_violation(e_ring, members) is None
             if legal != actually_ideal:
                 return FAIL, {"ideal": sorted(i.members), "submodule": sorted(n.members)}
@@ -336,22 +324,14 @@ def check_box_ideal_iff(ctx: PairContext):
     for j in ctx.ideals_e:
         if not _is_graded(ctx, j.members):
             continue
-        scalar = frozenset(
-            s for s in ctx.semiring.elements()
-            if ctx.instance.index_of(s, ctx.module.zero) in j.members
-        )
-        vector = frozenset(
-            x for x in ctx.module.elements()
-            if ctx.instance.index_of(ctx.semiring.zero, x) in j.members
-        )
-        if ctx.box_members(scalar, vector) != j.members:
+        if box_members(ctx.instance, *projections(ctx.instance, j.members)) != j.members:
             return FAIL, {"reason": "graded ideal is not a box", "ideal": ctx.pairs_of(j.members)}
     return PASS, None
 
 
 def check_box_radical(ctx: PairContext):
     for i, _n, box in ctx.boxables:
-        expected = ctx.box_members(radical(i).members, ctx.full_module.members)
+        expected = box_members(ctx.instance, radical(i).members, ctx.full_module.members)
         got = radical(box).members
         if got != expected:
             return FAIL, {
@@ -368,9 +348,9 @@ def check_projections(ctx: PairContext):
             i, n = ideal_projections(ctx.instance, j)
         except (NotAnIdeal, NotASubmodule) as exc:
             return FAIL, {"reason": str(exc), "ideal": ctx.pairs_of(j.members)}
-        if not ctx._scalar_maps_into(i.members, n.members):
+        if not i.members <= residual_members(ctx.module, n.members):
             return FAIL, {"reason": "projection violates containment", "ideal": ctx.pairs_of(j.members)}
-        if not j.members <= ctx.box_members(i.members, n.members):
+        if not j.members <= box_members(ctx.instance, i.members, n.members):
             return FAIL, {"reason": "ideal escapes its projection box"}
     return PASS, None
 
@@ -529,7 +509,7 @@ def check_idempotents_formula(ctx: PairContext):
 
 
 def check_nilpotents_formula(ctx: PairContext):
-    expected = ctx.box_members(ctx.nil_s, ctx.full_module.members)
+    expected = box_members(ctx.instance, ctx.nil_s, ctx.full_module.members)
     if ctx.nil_e != expected:
         return FAIL, {"nilpotents": ctx.pairs_of(ctx.nil_e)}
     if ideal_violation(ctx.product, ctx.nil_e) is not None:
@@ -538,7 +518,7 @@ def check_nilpotents_formula(ctx: PairContext):
 
 
 def check_zero_divisors_formula(ctx: PairContext):
-    expected = ctx.box_members(ctx.z_s | ctx.z_m, ctx.full_module.members)
+    expected = box_members(ctx.instance, ctx.z_s | ctx.z_m, ctx.full_module.members)
     if ctx.z_e != expected:
         return FAIL, {"zero_divisors": ctx.pairs_of(ctx.z_e)}
     return PASS, None
@@ -615,7 +595,7 @@ def check_weakly_clean_transfer(ctx: PairContext):
 def check_additively_regular_componentwise(ctx: PairContext):
     ar_s = additively_regular_elements(ctx.semiring).members
     ar_m = additively_regular_elements(ctx.module).members
-    expected = ctx.box_members(ar_s, ar_m)
+    expected = box_members(ctx.instance, ar_s, ar_m)
     got = additively_regular_elements(ctx.product).members
     if got != expected:
         return FAIL, {"regular": ctx.pairs_of(got)}
@@ -707,6 +687,8 @@ def default_grid(
     max_order: int = 3, *, include_builtins: bool = True, module_order: int = 3, max_product: int = 16
 ) -> list[GridCell]:
     """Enumerated pairs up to the given orders plus builtin pairs with small products."""
+    if max_order > catalog.MAX_ENUM_ORDER:
+        raise catalog.OrderTooLarge(f"supported orders are 2..{catalog.MAX_ENUM_ORDER}, got {max_order}")
     cells = []
     for n in range(2, max_order + 1):
         for s_entry in catalog.enumerate_semirings(n):
@@ -743,12 +725,17 @@ def run_pair(label: str, semiring: FiniteSemiring, module: FiniteSemimodule):
     return records, list(ctx.census)
 
 
-def _run_cell_from_dicts(args):
-    label, semiring_data, module_data = args
-    semiring = validate_semiring(semiring_data)
-    module = validate_semimodule(semiring, module_data)
-    records, census = run_pair(label, semiring, module)
-    return records, census
+def _run_cell(cell: GridCell):
+    return run_pair(cell.label, cell.semiring, cell.module)
+
+
+def _run_cells(cells: list[GridCell], workers: int):
+    """Records and census of each cell, in grid order, from ``workers`` processes (1: this one)."""
+    if workers <= 1:
+        yield from map(_run_cell, cells)
+        return
+    with multiprocessing.Pool(workers) as pool:
+        yield from pool.imap(_run_cell, cells, chunksize=1)
 
 
 def weakly_prime_forward_probe() -> dict:
@@ -831,24 +818,9 @@ def run_suite(
     records: list[CheckRecord] = []
     census: list[str] = []
     workers = min(jobs, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        payload = [
-            (
-                cell.label,
-                semiring_to_dict(cell.semiring),
-                semimodule_to_dict(cell.module, include_base=False),
-            )
-            for cell in cells
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            for cell_records, cell_census in pool.imap(_run_cell_from_dicts, payload, chunksize=1):
-                records.extend(cell_records)
-                census.extend(cell_census)
-    else:
-        for cell in cells:
-            cell_records, cell_census = run_pair(cell.label, cell.semiring, cell.module)
-            records.extend(cell_records)
-            census.extend(cell_census)
+    for cell_records, cell_census in _run_cells(cells, workers):
+        records.extend(cell_records)
+        census.extend(cell_census)
 
     if include_numeric:
         started = time.perf_counter()

@@ -158,6 +158,11 @@ def test_criterion_3_theorem_suite_full_grid():
 # witness, statement, label or grid order changes it.
 GOLDEN_REPORT_DIGEST = "cf083773e5ccb6235b8cab137571d7188fc8272e03fb175e521d1eee29b7162b"
 
+# The same digest for the order-4 grid with the builtin pairs.  Its 12
+# failures are the known Cor-2.15 ones (ROADMAP item 3); pinning them does
+# not endorse them, and a fix of that check updates this digest with it.
+ORDER4_REPORT_DIGEST = "c96ac811a8b06dadb20af8dacd74c587a892db6508c3e1706f1562234d9bf547"
+
 
 def _without_runtime(value):
     if isinstance(value, dict):
@@ -167,16 +172,33 @@ def _without_runtime(value):
     return value
 
 
+def _report_digest(report):
+    canonical = json.dumps(_without_runtime(report.to_dict()), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def test_golden_report_digest():
     def body():
         _cells, report = full_report()
         assert report.counts() == {"pass": 2161, "fail": 0, "not-applicable": 221}
-        canonical = json.dumps(_without_runtime(report.to_dict()), sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        digest = _report_digest(report)
         assert digest == GOLDEN_REPORT_DIGEST, digest
         return "report identical to the golden digest apart from runtime fields"
 
     timed("golden-report", 300.0, body)
+
+
+def test_order4_report_digest():
+    def body():
+        cells = default_grid(max_order=4, include_builtins=True, module_order=3)
+        report = run_suite(cells, seed=0)
+        assert report.counts() == {"pass": 20185, "fail": 12, "not-applicable": 2730}
+        assert {r.theorem for r in report.failures()} == {"Cor-2.15"}
+        digest = _report_digest(report)
+        assert digest == ORDER4_REPORT_DIGEST, digest
+        return "order-4 report identical to the pinned digest apart from runtime fields"
+
+    timed("order4-report", 300.0, body)
 
 
 def test_criterion_4_weakly_prime_forward_probe():

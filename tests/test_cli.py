@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from semiringlab import builtin, semimodule_to_dict, semiring_to_dict, zmod_quotient_module
+from semiringlab import builtin, cli, numeric, semimodule_to_dict, semiring_to_dict, zmod_quotient_module
 from semiringlab.cli import main
+from semiringlab.numeric import forward_total
 
 
 def write(path, payload):
@@ -134,6 +135,32 @@ def test_expect_rejects_non_finite_edge_data(tmp_path, capsys, p, v):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("edges, expected", [
+    (
+        [{"from": "s", "to": "t", "p": 0.5, "v": [1.0]}, {"from": "s", "to": "t", "p": 0.25, "v": [2.0]}],
+        "Z = 0.75\nr = [1.0]\nexpectation = [1.3333333333333333]\n",
+    ),
+    (
+        [{"from": "s", "to": "t", "p": 0.0, "v": [1.0]}],
+        "Z = 0.0\nr = [0.0]\nexpectation undefined: zero total mass\n",
+    ),
+], ids=["normalized", "zero-mass"])
+def test_expect_runs_the_forward_pass_once(tmp_path, capsys, monkeypatch, edges, expected):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return forward_total(graph)
+
+    # both names: the CLI's own import and the one numeric.expectation looks up
+    monkeypatch.setattr(numeric, "forward_total", counted)
+    monkeypatch.setattr(cli, "forward_total", counted)
+    graph = {"d": 1, "nodes": ["s", "t"], "source": "s", "sink": "t", "edges": edges}
+    assert main(["expect", "--graph", write(tmp_path / "g.json", graph)]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(calls) == 1
+
+
 def test_expect_json_option_is_gone(tmp_path):
     path = write(tmp_path / "g.json", two_node_graph(1.0, [1.0]))
     with pytest.raises(SystemExit) as err:
@@ -181,3 +208,4 @@ def test_out_of_range_order_exits_one(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: supported orders are ")
+    assert "got 9" in err

@@ -198,6 +198,14 @@ def test_prime_maximal_primary_on_zmod4():
     assert is_prime(Ideal(b, frozenset({0})))
 
 
+@pytest.mark.parametrize("members", [{0, 1, 2, 3, -1}, {0, 9}], ids=["negative", "past-the-end"])
+def test_out_of_carrier_members_are_rejected(members):
+    z4 = builtin("zmod_4").structure
+    for cls, parent in ((Ideal, z4), (Subsemimodule, self_module(z4))):
+        with pytest.raises(ValueError, match="outside carrier"):
+            cls(parent, frozenset(members))
+
+
 def test_predicates_reject_improper_ideals():
     z4 = builtin("zmod_4").structure
     whole = Ideal(z4, frozenset(range(4)))

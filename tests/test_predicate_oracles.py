@@ -1,0 +1,212 @@
+"""Ideal and element predicates against literal quantifier definitions.
+
+Every semiring, module and product of the default order-3 grid is scanned,
+with each of its ideals and subsemimodules.  The oracles below read the
+definitions word for word: all powers of an element are listed until one
+repeats, and nothing is shared with the library's scans.
+"""
+
+import pytest
+
+from semiringlab import (
+    NotAnIdeal,
+    almost_clean_by_parts,
+    box_ideal,
+    build_expectation,
+    default_grid,
+    enumerate_ideals,
+    enumerate_subsemimodules,
+    is_almost_clean,
+    is_clean,
+    is_domainlike,
+    is_primary,
+    is_primary_submodule,
+    is_prime,
+    is_weakly_clean,
+    is_weakly_prime,
+    nilpotents,
+    residual,
+    zero_divisors,
+)
+
+
+def powers(semiring, b):
+    """Every power b^k with k >= 1."""
+    out = []
+    p = b
+    while p not in out:
+        out.append(p)
+        p = semiring.mul(p, b)
+    return frozenset(out)
+
+
+def units_of(semiring):
+    return {a for a in semiring.elements() if any(semiring.mul(a, b) == semiring.one for b in semiring.elements())}
+
+
+def idempotents_of(semiring):
+    return {e for e in semiring.elements() if semiring.mul(e, e) == e}
+
+
+def zero_divisors_of(semiring):
+    carrier = semiring.elements()
+    return {a for a in carrier if any(b != semiring.zero and semiring.mul(a, b) == semiring.zero for b in carrier)}
+
+
+def module_zero_divisors_of(module):
+    if module.size == 1:
+        return set()
+    return {
+        s for s in module.base.elements()
+        if any(x != module.zero and module.act(s, x) == module.zero for x in module.elements())
+    }
+
+
+def nilpotents_of(semiring):
+    return {a for a in semiring.elements() if semiring.zero in powers(semiring, a)}
+
+
+def sum_of(semiring, a, lefts, rights):
+    """a = t + e for some t in ``lefts`` and e in ``rights``."""
+    return any(semiring.add(t, e) == a for t in lefts for e in rights)
+
+
+def clean_oracles(semiring):
+    carrier = semiring.elements()
+    u, e = units_of(semiring), idempotents_of(semiring)
+    regular = set(carrier) - zero_divisors_of(semiring)
+    return {
+        "clean": all(sum_of(semiring, a, u, e) for a in carrier),
+        "almost_clean": all(sum_of(semiring, a, regular, e) for a in carrier),
+        "weakly_clean": all(
+            sum_of(semiring, a, u, e) or any(semiring.add(a, f) in u for f in e) for a in carrier
+        ),
+        "weakly_clean_literal": all(
+            sum_of(semiring, a, u, e) or any(semiring.add(v, f) == v for v in u for f in e)
+            for a in carrier
+        ),
+    }
+
+
+def prime_oracle(semiring, members, *, weakly=False):
+    carrier = semiring.elements()
+    return all(
+        a in members or b in members
+        for a in carrier
+        for b in carrier
+        if semiring.mul(a, b) in members and not (weakly and semiring.mul(a, b) == semiring.zero)
+    )
+
+
+def primary_oracle(semiring, members):
+    carrier = semiring.elements()
+    return all(
+        powers(semiring, b) & members
+        for a in carrier
+        for b in carrier
+        if semiring.mul(a, b) in members and a not in members
+    )
+
+
+def residual_oracle(module, members):
+    return frozenset(
+        s for s in module.base.elements() if all(module.act(s, x) in members for x in module.elements())
+    )
+
+
+def primary_submodule_oracle(module, members):
+    carriers = residual_oracle(module, members)
+    return all(
+        powers(module.base, s) & carriers
+        for s in module.base.elements()
+        for x in module.elements()
+        if module.act(s, x) in members and x not in members
+    )
+
+
+def box_oracle(instance, ideal_members, submodule_members):
+    """(witness, members): the first (a, x) with a in I and a*x outside N, else the box."""
+    module = instance.factor_module
+    for a in sorted(ideal_members):
+        for x in module.elements():
+            if module.act(a, x) not in submodule_members:
+                return (a, x), None
+    members = frozenset(
+        k for k, (s, x) in enumerate(instance.pairs) if s in ideal_members and x in submodule_members
+    )
+    return None, members
+
+
+def check_semiring(semiring):
+    name = semiring.name
+    assert zero_divisors(semiring).members == zero_divisors_of(semiring), name
+    assert nilpotents(semiring).members == nilpotents_of(semiring), name
+    assert is_domainlike(semiring) == (zero_divisors_of(semiring) <= nilpotents_of(semiring)), name
+    expected = clean_oracles(semiring)
+    got = {
+        "clean": is_clean(semiring),
+        "almost_clean": is_almost_clean(semiring),
+        "weakly_clean": is_weakly_clean(semiring),
+        "weakly_clean_literal": is_weakly_clean(semiring, literal=True),
+    }
+    assert got == expected, name
+    ideals = enumerate_ideals(semiring)
+    for ideal in ideals:
+        if not ideal.is_proper():
+            continue
+        members = ideal.members
+        where = (name, sorted(members))
+        assert is_prime(ideal) == prime_oracle(semiring, members), where
+        assert is_weakly_prime(ideal) == prime_oracle(semiring, members, weakly=True), where
+        assert is_primary(ideal) == primary_oracle(semiring, members), where
+    return ideals
+
+
+def check_module(module):
+    submodules = enumerate_subsemimodules(module)
+    for n in submodules:
+        where = (module.base.name, module.name, sorted(n.members))
+        assert residual(n).members == residual_oracle(module, n.members), where
+        if n.is_proper():
+            assert is_primary_submodule(n) == primary_submodule_oracle(module, n.members), where
+    return submodules
+
+
+def _key(structure):
+    tables = (structure.add_table, getattr(structure, "mul_table", None) or structure.action_table)
+    return (structure.size, structure.zero, tables)
+
+
+def test_predicates_match_literal_definitions_on_default_grid():
+    seen = {}
+
+    def once(structure, check):
+        key = _key(structure) if not hasattr(structure, "base") else (_key(structure.base), _key(structure))
+        if key not in seen:
+            seen[key] = check(structure)
+        return seen[key]
+
+    cells = default_grid(max_order=3)
+    for cell in cells:
+        semiring, module = cell.semiring, cell.module
+        instance = build_expectation(semiring, module)
+        ideals = once(semiring, check_semiring)
+        submodules = once(module, check_module)
+        once(instance.product, check_semiring)
+
+        bad = zero_divisors_of(semiring) | module_zero_divisors_of(module)
+        good = set(semiring.elements()) - bad
+        by_parts = all(sum_of(semiring, a, good, idempotents_of(semiring)) for a in semiring.elements())
+        assert almost_clean_by_parts(semiring, module) == by_parts, cell.label
+
+        for i in ideals:
+            for n in submodules:
+                witness, members = box_oracle(instance, i.members, n.members)
+                where = (cell.label, sorted(i.members), sorted(n.members))
+                if witness is None:
+                    assert box_ideal(instance, i, n).members == members, where
+                else:
+                    with pytest.raises(NotAnIdeal) as err:
+                        box_ideal(instance, i, n)
+                    assert err.value.witness == witness, where
+    assert len(cells) == 68
