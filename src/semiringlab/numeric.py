@@ -7,6 +7,10 @@ to (p, p*v) makes the product along a path equal (prod p, (prod p)*(sum v)),
 and the sum over all source-to-sink paths of a DAG carries both the total
 mass and the mass-weighted feature total in one forward pass.  A graph indexes
 its outgoing edges once, at load, so load (with its toposort) and the pass are O(V + E).
+The pass keeps each node's total as a plain (p, r) pair of floats and does the
+float operations of ``wmul``/``wadd`` in the same order, so its result is
+bit-identical to the weight arithmetic; a total that overflows to inf or NaN
+raises the typed error ``NonFiniteTotal``.
 
 Equality of weights is tolerance-based (1e-9 relative, 1e-12 absolute):
 double-precision path products at desk scale.
@@ -42,6 +46,10 @@ class TooManyPaths(ValueError):
 
 class InvalidGraph(ValueError):
     """The graph violates a shape requirement (labels, endpoints, edge data)."""
+
+
+class NonFiniteTotal(ValueError):
+    """The forward total overflowed: its mass or a feature entry is infinite or NaN."""
 
 
 def _close(a: float, b: float) -> bool:
@@ -186,7 +194,7 @@ def graph_from_dict(data: Mapping) -> WeightedDag:
     """Load the graph JSON shape {d, nodes, source, sink, edges:[{from,to,p,v}]}."""
     try:
         edges = tuple(
-            GraphEdge(src=e["from"], dst=e["to"], p=float(e["p"]), v=tuple(float(x) for x in e.get("v", ())))
+            GraphEdge(src=e["from"], dst=e["to"], p=float(e["p"]), v=tuple(map(float, e.get("v", ()))))
             for e in data["edges"]
         )
         return WeightedDag(
@@ -216,17 +224,42 @@ def forward_total(g: WeightedDag) -> NumericWeight:
     One pass in topological order; an unreachable sink yields the zero
     weight.  The mass component is the total path mass Z and the vector
     component is the mass-weighted sum of per-path feature totals.
+
+    Each node's running total is a plain (p, r) pair of floats.  Per edge
+    the pass does the float operations of ``wadd(prev, wmul(acc,
+    lift_edge(p, v)))`` in the same order, so the result is bit-identical
+    to that weight arithmetic; only the sink total becomes a
+    ``NumericWeight``.  A sink total with an infinite or NaN component
+    (float overflow) raises ``NonFiniteTotal``.
     """
-    totals: dict[str, NumericWeight] = {g.source: wone(g.dim)}
+    totals: dict[str, tuple[float, list[float]]] = {g.source: (1.0, [0.0] * g.dim)}
+    get = totals.get
     for node in g.topological_order:
-        acc = totals.get(node)
+        acc = get(node)
         if acc is None:
             continue
+        ap, ar = acc
         for e in g.outgoing(node):
-            contribution = wmul(acc, lift_edge(e.p, e.v))
-            prev = totals.get(e.dst)
-            totals[e.dst] = contribution if prev is None else wadd(prev, contribution)
-    return totals.get(g.sink, wzero(g.dim))
+            p = e.p
+            prev = get(e.dst)
+            # lift (p, p*v), product (ap*p, ap*(p*v) + p*ar), then prev + product
+            if prev is None:
+                totals[e.dst] = (ap * p, [ap * (p * v) + p * a for v, a in zip(e.v, ar)])
+            else:
+                totals[e.dst] = (
+                    prev[0] + ap * p,
+                    [q + (ap * (p * v) + p * a) for q, v, a in zip(prev[1], e.v, ar)],
+                )
+    total = get(g.sink)
+    if total is None:
+        return wzero(g.dim)
+    mass, vector = total
+    if not math.isfinite(mass):
+        raise NonFiniteTotal(f"float overflow: the total mass Z is {mass}")
+    for k, x in enumerate(vector):
+        if not math.isfinite(x):
+            raise NonFiniteTotal(f"float overflow: the feature total r[{k}] is {x}")
+    return NumericWeight(mass, vector)
 
 
 def count_paths(g: WeightedDag) -> int:

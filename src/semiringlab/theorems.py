@@ -164,6 +164,12 @@ class PairContext:
         ]
 
     @cached_property
+    def full_module_boxes(self) -> dict[frozenset[int], Ideal]:
+        """I x M for every ideal I of S, keyed by I's members; read from ``boxables``."""
+        full = self.full_module.members
+        return {i.members: box for i, n, box in self.boxables if n.members == full}
+
+    @cached_property
     def units_s(self) -> frozenset[int]:
         return units(self.semiring).members
 
@@ -423,8 +429,7 @@ def check_weakly_prime_lift(ctx: PairContext):
     for i in ctx.ideals_s:
         if not i.is_proper() or not is_weakly_prime(i):
             continue
-        box = box_ideal(ctx.instance, i, ctx.full_module)
-        if not is_weakly_prime(box):
+        if not is_weakly_prime(ctx.full_module_boxes[i.members]):
             return FAIL, {"ideal": sorted(i.members)}
     return PASS, None
 
@@ -445,8 +450,7 @@ def check_primary_box_iff(ctx: PairContext):
     for i in ctx.ideals_s:
         if not i.is_proper():
             continue
-        box = box_ideal(ctx.instance, i, ctx.full_module)
-        if is_primary(i) != is_primary(box):
+        if is_primary(i) != is_primary(ctx.full_module_boxes[i.members]):
             return FAIL, {"ideal": sorted(i.members)}
     return PASS, None
 

@@ -135,6 +135,23 @@ def test_expect_rejects_non_finite_edge_data(tmp_path, capsys, p, v):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("nodes, edges, component", [
+    (["s", "a", "t"],
+     [{"from": "s", "to": "a", "p": 1e200, "v": [1.0]}, {"from": "a", "to": "t", "p": 1e200, "v": [1.0]}],
+     "Z is inf"),
+    (["s", "a", "b", "t"],
+     [{"from": "s", "to": "a", "p": 1e200, "v": [1.0]}, {"from": "a", "to": "b", "p": 1e200, "v": [1.0]},
+      {"from": "b", "to": "t", "p": 0.0, "v": [1.0]}],
+     "Z is nan"),
+], ids=["inf", "nan"])
+def test_expect_rejects_an_overflowing_total(tmp_path, capsys, nodes, edges, component):
+    graph = {"d": 1, "nodes": nodes, "source": "s", "sink": "t", "edges": edges}
+    assert main(["expect", "--graph", write(tmp_path / "g.json", graph)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: float overflow: the total mass {component}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("edges, expected", [
     (
         [{"from": "s", "to": "t", "p": 0.5, "v": [1.0]}, {"from": "s", "to": "t", "p": 0.25, "v": [2.0]}],

@@ -8,6 +8,7 @@ from semiringlab import (
     CycleDetected,
     DimensionMismatch,
     InvalidGraph,
+    NonFiniteTotal,
     NumericWeight,
     TooManyPaths,
     WeightedDag,
@@ -24,6 +25,7 @@ from semiringlab import (
     wone,
     wzero,
 )
+from semiringlab import numeric
 from semiringlab.numeric import GraphEdge, oracle_disagreements, random_dag, weight_law_failures
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -315,6 +317,127 @@ def test_adjacency_index_matches_edge_scans_exactly():
         assert forward_total(g) == forward_total(ref)
         assert count_paths(g) == count_paths(ref)
         assert brute_force_total(g) == brute_force_total(ref)
+
+
+def weight_reference_total(g):
+    """The forward pass in NumericWeight arithmetic: lift, wmul and wadd per edge."""
+    totals = {g.source: wone(g.dim)}
+    for node in g.topological_order:
+        acc = totals.get(node)
+        if acc is None:
+            continue
+        for e in g.outgoing(node):
+            contribution = wmul(acc, lift_edge(e.p, e.v))
+            prev = totals.get(e.dst)
+            totals[e.dst] = contribution if prev is None else wadd(prev, contribution)
+    return totals.get(g.sink, wzero(g.dim))
+
+
+def normalized_graph(nodes, links, dim, rng):
+    """Each node's outgoing masses sum to 1 (so Z = 1); features uniform in [0, 1)."""
+    edges = []
+    for src, targets in links:
+        masses = [rng.uniform(0.1, 1.0) for _ in targets]
+        total = sum(masses)
+        edges.extend(
+            GraphEdge(nodes[src], nodes[dst], mass / total, tuple(rng.uniform(0.0, 1.0) for _ in range(dim)))
+            for dst, mass in zip(targets, masses)
+        )
+    return WeightedDag(dim=dim, nodes=tuple(nodes), source=nodes[0], sink=nodes[-1], edges=tuple(edges))
+
+
+def long_graph(count=4000, dim=2, seed=5):
+    """A long DAG: every node links to 1-3 of the next three nodes."""
+    rng = random.Random(seed)
+    links = []
+    for i in range(count - 1):
+        ahead = range(i + 1, min(i + 4, count))
+        links.append((i, rng.sample(ahead, rng.randint(1, len(ahead)))))
+    return normalized_graph([f"n{i}" for i in range(count)], links, dim, rng)
+
+
+def wide_graph(layers=10, width=30, dim=64, seed=5):
+    """Complete layers between a source and a sink: 2*width + (layers-1)*width^2 edges."""
+    nodes = ["src"] + [f"l{k}_{j}" for k in range(layers) for j in range(width)] + ["sink"]
+    sink = len(nodes) - 1
+    links = [(0, list(range(1, 1 + width)))]
+    for k in range(layers):
+        start = 1 + k * width
+        targets = [sink] if k == layers - 1 else list(range(start + width, start + 2 * width))
+        links.extend((start + j, targets) for j in range(width))
+    return normalized_graph(nodes, links, dim, random.Random(seed))
+
+
+def test_flat_pass_is_bit_identical_to_weight_arithmetic():
+    long, wide = long_graph(), wide_graph()
+    assert (len(long.nodes), long.dim) == (4000, 2)
+    assert (len(wide.edges), wide.dim) == (8160, 64)
+    # three parallel edges: (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit
+    fan = graph_from_dict(
+        {"d": 1, "nodes": ["s", "t"], "source": "s", "sink": "t",
+         "edges": [{"from": "s", "to": "t", "p": p, "v": [1.0]} for p in (0.1, 0.2, 0.3)]}
+    )
+    rng = random.Random(23)
+    graphs = [long, wide, fan, *index_check_graphs()]
+    for _ in range(300):
+        g = random_dag(rng)
+        graphs.extend([g, shuffled(g, rng)])
+    assert {g.dim for g in graphs} >= {0, 1, 2, 3}
+    for g in graphs:
+        assert forward_total(g) == weight_reference_total(g)
+
+
+def test_forward_pass_builds_only_the_sink_weight(monkeypatch):
+    count = 26
+    nodes = tuple(f"n{i}" for i in range(count))
+    links = [(i, i + 1) for i in range(count - 1)] + [(i, i + 2) for i in range(count - 2)] + [(0, 1)]
+    edges = tuple(GraphEdge(nodes[a], nodes[b], 0.5, (1.0, -1.0)) for a, b in links)
+    g = WeightedDag(dim=2, nodes=nodes, source=nodes[0], sink=nodes[-1], edges=edges)
+    assert len(g.edges) == 50
+    calls = {"lift_edge": 0, "wmul": 0, "wadd": 0, "NumericWeight": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("lift_edge", "wmul", "wadd"):
+        monkeypatch.setattr(numeric, name, counting(name, getattr(numeric, name)))
+    monkeypatch.setattr(NumericWeight, "__post_init__", counting("NumericWeight", NumericWeight.__post_init__))
+    total = forward_total(g)
+    assert calls == {"lift_edge": 0, "wmul": 0, "wadd": 0, "NumericWeight": 1}
+    assert total.p > 0.0
+
+
+def overflow_graph(*edges):
+    names = sorted(({e[0] for e in edges} | {e[1] for e in edges}) - {"s", "t"})
+    return graph_from_dict(
+        {"d": 1, "nodes": ["s", *names, "t"], "source": "s", "sink": "t",
+         "edges": [{"from": a, "to": b, "p": p, "v": v} for a, b, p, v in edges]}
+    )
+
+
+@pytest.mark.parametrize("edges, component", [
+    # 1e200 * 1e200 overflows the mass and the feature total to inf
+    ([("s", "a", 1e200, [1.0]), ("a", "t", 1e200, [1.0])], r"Z is inf"),
+    # the node b holds an infinite mass, and inf * 0.0 gives a NaN mass at the sink
+    ([("s", "a", 1e200, [1.0]), ("a", "b", 1e200, [1.0]), ("b", "t", 0.0, [1.0])], r"Z is nan"),
+    # a finite mass with a feature total beyond the largest float
+    ([("s", "a", 1.0, [1e308]), ("a", "t", 1.0, [1e308])], r"r\[0\] is inf"),
+])
+def test_overflowing_total_is_a_typed_error(edges, component):
+    with pytest.raises(NonFiniteTotal, match=r"float overflow: .*" + component):
+        forward_total(overflow_graph(*edges))
+    with pytest.raises(NonFiniteTotal):
+        expectation(overflow_graph(*edges))
+
+
+def test_non_finite_total_off_the_sink_paths_is_ignored():
+    # b holds an infinite mass and x a NaN one, but neither reaches the sink
+    g = overflow_graph(("s", "a", 1e200, [1.0]), ("a", "b", 1e200, [1.0]), ("b", "x", 0.0, [1.0]),
+                       ("s", "t", 0.5, [2.0]))
+    assert forward_total(g) == NumericWeight(0.5, (1.0,))
 
 
 def test_graph_shape_errors():
