@@ -5,17 +5,24 @@ semifields (boolean, prime fields), structures where every element has an
 additive inverse (the modular rings), non-subtractive ideals (the
 saturating truncated naturals), and lattice semirings (chains, diamond).
 
-Enumeration fixes the labeling zero=0, one=1, generates commutative monoid
-addition tables first, then multiplication tables against each addition,
-and runs every candidate through the axiom validator, so the output is
-oracle-checked rather than formula-driven.  Order is deterministic.
+Enumeration fixes the labeling zero=0, one=1.  One depth-first search
+fills every table: the commutative monoid additions, then the
+multiplications against each addition, or the action rows of a module.  It
+fills the cells in a fixed order with ascending values and, after each
+cell, prunes on the associativity, distributivity and action-law instances
+that can read that cell and whose cells are all known.  The output comes
+in lexicographic order of the tables, and every candidate still goes
+through the axiom validator, so it is oracle-checked rather than
+formula-driven.  Isomorphism is equality of a canonical form: the least
+encoding of both tables over the relabellings that send zero to 0 and one
+to 1.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .tables import (
@@ -23,8 +30,6 @@ from .tables import (
     FiniteSemimodule,
     FiniteSemiring,
     InvalidStructure,
-    first_nonassociative,
-    first_nondistributive,
     same_semiring,
     semiring_as_module,
     validate_semimodule,
@@ -262,24 +267,70 @@ def builtin_pairs(max_product: int = 16) -> list[tuple[str, FiniteSemiring, Fini
     return pairs
 
 
-def _symmetric_tables(n: int, identity: int = 0):
-    """All commutative tables on 0..n-1 with the given additive identity."""
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    base_row = list(range(n))
-    for combo in itertools.product(range(n), repeat=len(cells)):
-        table = [[0] * n for _ in range(n)]
-        table[identity] = list(base_row)
-        for x in range(n):
-            table[x][identity] = x
-        for (i, j), v in zip(cells, combo):
-            table[i][j] = table[j][i] = v
-        yield table
+def _search(table: dict, cells: list, values: range, fails):
+    """Depth-first completions of a partial table: the one search behind every enumerator.
+
+    ``table`` maps ``(row, col)`` to a value and holds the fixed cells.  The
+    unknown ``cells`` are filled in list order with ascending ``values``, so
+    completions come out in lexicographic order of the cell values.  Each
+    cell is the tuple of positions it sets: a cell and its mirror in a
+    commutative table.  After each cell, ``fails(table.get, cell)`` says
+    whether a law instance that can read the cell is broken.  A cell not
+    filled yet reads as None, so does every lookup through it, and an
+    instance with a None side waits for a later cell.  The yielded table is
+    live: copy what you keep.
+    """
+
+    def fill(k: int):
+        if k == len(cells):
+            yield table
+            return
+        for v in values:
+            for pos in cells[k]:
+                table[pos] = v
+            if not fails(table.get, cells[k][0]):
+                yield from fill(k + 1)
+        for pos in cells[k]:
+            table[pos] = None
+
+    return fill(0)
 
 
-def _monoid_tables(n: int):
-    for table in _symmetric_tables(n):
-        if first_nonassociative(table, n) is None:
-            yield tuple(tuple(row) for row in table)
+def _broken(pairs) -> bool:
+    """Whether some (lhs, rhs) pair has both sides known and different."""
+    return any(lhs != rhs and lhs is not None and rhs is not None for lhs, rhs in pairs)
+
+
+def _nonassociative(get, elements: range, cell: tuple[int, int]) -> bool:
+    """Associativity ``(x y) z = x (y z)`` of a commutative table, on the instances
+    over ``elements`` that can read ``cell``.  An instance reads a cell only
+    through x or z, and swapping x and z gives the same equation, so z runs
+    over the cell.  Callers leave out the elements whose rows are fixed as an
+    identity or an absorbing zero: the law holds there."""
+    return _broken(
+        (get((get((x, y)), z)), get((x, get((y, z))))) for x in elements for y in elements for z in cell
+    )
+
+
+def _rows(table: dict, n_rows: int, n_cols: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(table[r, c] for c in range(n_cols)) for r in range(n_rows))
+
+
+def _monoids(n: int):
+    """Commutative monoid tables on 0..n-1 with identity 0, as dicts, in lexicographic order."""
+    table = {pos: x for x in range(n) for pos in ((0, x), (x, 0))}
+    cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
+    for add in _search(table, cells, range(n), lambda get, cell: _nonassociative(get, range(1, n), cell)):
+        yield dict(add)
+
+
+def _named(prefix: str, structures) -> list[CatalogEntry]:
+    """Catalog entries named ``prefix.00``, ``prefix.01``, ... in order."""
+    names = [f"{prefix}.{i:02d}" for i in range(len(structures))]
+    return [
+        CatalogEntry(name=name, structure=replace(s, name=name), provenance="enumerated")
+        for name, s in zip(names, structures)
+    ]
 
 
 def enumerate_semirings(order: int, *, dedup: bool = False) -> list[CatalogEntry]:
@@ -287,176 +338,109 @@ def enumerate_semirings(order: int, *, dedup: bool = False) -> list[CatalogEntry
 
     No isomorphism reduction happens below order 4 (label-sensitivity bugs
     surface faster with duplicates present); at order 4 pass dedup=True to
-    keep one representative per isomorphism class.
+    keep the first semiring of each isomorphism class.
     """
     if not 2 <= order <= MAX_ENUM_ORDER:
         raise OrderTooLarge(f"supported orders are 2..{MAX_ENUM_ORDER}, got {order}")
     n = order
-    free = [(i, j) for i in range(2, n) for j in range(i, n)]
+    mul = {}
+    for x in range(n):
+        mul[0, x] = mul[x, 0] = 0
+        mul[1, x] = mul[x, 1] = x
+    cells = [((i, j), (j, i)) for i in range(2, n) for j in range(i, n)]
     entries = []
-    for add in _monoid_tables(n):
-        for combo in itertools.product(range(n), repeat=len(free)):
-            mul = [[0] * n for _ in range(n)]
-            mul[1] = list(range(n))
-            for x in range(n):
-                mul[x][1] = x
-            for (i, j), v in zip(free, combo):
-                mul[i][j] = mul[j][i] = v
-            if first_nonassociative(mul, n) or first_nondistributive(add, mul):
-                continue
-            data = {
-                "name": "",
-                "size": n,
-                "zero": 0,
-                "one": 1,
-                "add": [list(r) for r in add],
-                "mul": mul,
-            }
+    for add in _monoids(n):
+
+        def fails(get, cell):
+            # x(y + z) = xy + xz reads the multiplication in row x only
+            distributive = (
+                (get((x, add[y, z])), add.get((get((x, y)), get((x, z)))))
+                for x in cell
+                for y in range(1, n)
+                for z in range(y, n)
+            )
+            return _nonassociative(get, range(2, n), cell) or _broken(distributive)
+
+        for table in _search(mul, cells, range(n), fails):
+            data = dict(name="", size=n, zero=0, one=1, add=_rows(add, n, n), mul=_rows(table, n, n))
             try:
-                structure = validate_semiring(data)
+                entries.append(validate_semiring(data))
             except InvalidStructure:
                 continue
-            entries.append(structure)
     if dedup:
-        kept: list[FiniteSemiring] = []
+        first: dict[tuple[int, ...], FiniteSemiring] = {}
         for s in entries:
-            if not any(are_isomorphic(s, t) for t in kept):
-                kept.append(s)
-        entries = kept
-    out = []
-    for i, s in enumerate(entries):
-        name = f"S{n}.{i:02d}"
-        out.append(
-            CatalogEntry(
-                name=name,
-                structure=FiniteSemiring(
-                    size=s.size,
-                    add_table=s.add_table,
-                    mul_table=s.mul_table,
-                    zero=s.zero,
-                    one=s.one,
-                    name=name,
-                ),
-                provenance="enumerated",
-            )
-        )
-    return out
-
-
-def _additive_endomorphisms(add, m: int, zero: int = 0):
-    """Maps f with f(0)=0 and f(x+y)=f(x)+f(y), as tuples."""
-    positions = [x for x in range(m) if x != zero]
-    endos = []
-    for values in itertools.product(range(m), repeat=len(positions)):
-        f = [0] * m
-        f[zero] = zero
-        for pos, v in zip(positions, values):
-            f[pos] = v
-        if first_nondistributive(add, (f,)) is None:
-            endos.append(tuple(f))
-    return endos
+            first.setdefault(_canonical_form(s), s)
+        entries = list(first.values())
+    return _named(f"S{n}", entries)
 
 
 def enumerate_semimodules(semiring: FiniteSemiring, order: int) -> list[CatalogEntry]:
     """All modules of the given order over the semiring, zero fixed at 0.
 
-    Rows of the action table must be additive endomorphisms, so candidates
-    are assembled from the endomorphism list scalar by scalar with the
-    cross-row laws checked as soon as both sides are known; survivors are
-    confirmed by the validator.
+    The search that lists the semirings fills the addition, then the action
+    rows of the scalars other than zero and one, cell by cell.  After each
+    action cell it checks ``s(x + y) = sx + sy``, ``(s + t)x = sx + tx`` and
+    ``(st)x = s(tx)`` on the instances that can read that cell.  Survivors
+    are confirmed by the validator.
     """
     if not 1 <= order <= MAX_ENUM_ORDER:
         raise OrderTooLarge(f"supported orders are 1..{MAX_ENUM_ORDER}, got {order}")
-    m = order
-    n = semiring.size
+    m, n = order, semiring.size
+    zero, one = semiring.zero, semiring.one
+    free = [s for s in range(n) if s not in (zero, one)]
+    nonzero = [s for s in range(n) if s != zero]
+    action = {(s, 0): 0 for s in range(n)}
+    for x in range(m):
+        action[zero, x] = 0
+        action[one, x] = x
+    cells = [((s, x),) for s in free for x in range(1, m)]
     found = []
-    add_tables = [((0,),)] if m == 1 else list(_monoid_tables(m))
-    for add in add_tables:
-        endos = _additive_endomorphisms(add, m)
-        identity_row = tuple(range(m))
-        zero_row = tuple(0 for _ in range(m))
-        rows: dict[int, tuple[int, ...]] = {semiring.zero: zero_row, semiring.one: identity_row}
-        free_scalars = [s for s in range(n) if s not in rows]
+    for add in _monoids(m):
+        if _broken((action.get((semiring.add(one, one), x)), add[x, x]) for x in range(m)):
+            continue  # (1 + 1)x = x + x reads no cell when 1 + 1 is zero or one
 
-        def consistent(assigned: dict[int, tuple[int, ...]]) -> bool:
-            for s in assigned:
-                for t in assigned:
-                    target = semiring.add(s, t)
-                    if target in assigned:
-                        row = assigned[target]
-                        if any(row[x] != add[assigned[s][x]][assigned[t][x]] for x in range(m)):
-                            return False
-                    target = semiring.mul(s, t)
-                    if target in assigned:
-                        row = assigned[target]
-                        if any(row[x] != assigned[s][assigned[t][x]] for x in range(m)):
-                            return False
-            return True
-
-        def assign(idx: int) -> None:
-            if idx == len(free_scalars):
-                action = [list(rows[s]) for s in range(n)]
-                data = {
-                    "name": "",
-                    "size": m,
-                    "zero": 0,
-                    "add": [list(r) for r in add],
-                    "action": action,
-                }
-                try:
-                    found.append(validate_semimodule(semiring, data))
-                except InvalidStructure:
-                    pass
-                return
-            s = free_scalars[idx]
-            for row in endos:
-                rows[s] = row
-                if consistent(rows):
-                    assign(idx + 1)
-                del rows[s]
-
-        if consistent(rows):
-            assign(0)
-    out = []
-    for i, module in enumerate(found):
-        name = f"M{m}.{i:02d}"
-        out.append(
-            CatalogEntry(
-                name=name,
-                structure=FiniteSemimodule(
-                    base=module.base,
-                    size=module.size,
-                    add_table=module.add_table,
-                    action_table=module.action_table,
-                    zero=module.zero,
-                    name=name,
-                ),
-                provenance="enumerated",
+        def fails(get, cell):
+            s, x = cell
+            plus = add.get
+            return _broken(
+                itertools.chain(
+                    (
+                        (get((s, add[y, z])), plus((get((s, y)), get((s, z)))))
+                        for y in range(1, m)
+                        for z in range(y, m)
+                    ),
+                    (
+                        (get((semiring.add(a, b), x)), plus((get((a, x)), get((b, x)))))
+                        for i, a in enumerate(nonzero)
+                        for b in nonzero[i:]
+                    ),
+                    ((get((semiring.mul(a, b), x)), get((a, get((b, x))))) for a in free for b in free),
+                    ((get((semiring.mul(s, b), y)), get((s, get((b, y))))) for b in free for y in range(1, m)),
+                )
             )
-        )
-    return out
+
+        for table in _search(action, cells, range(m), fails):
+            data = dict(name="", size=m, zero=0, add=_rows(add, m, m), action=_rows(table, n, m))
+            try:
+                found.append(validate_semimodule(semiring, data))
+            except InvalidStructure:
+                continue
+    return _named(f"M{m}", found)
+
+
+def _canonical_form(s: FiniteSemiring) -> tuple[int, ...]:
+    """The least encoding of both tables over the relabellings that send zero to 0 and one to 1."""
+    rest = [x for x in range(s.size) if x not in (s.zero, s.one)]
+    forms = []
+    for perm in itertools.permutations(rest):
+        old = (s.zero, s.one, *perm)  # new label k stands for old element old[k]
+        new = {x: k for k, x in enumerate(old)}
+        forms.append(tuple(new[t[a][b]] for t in (s.add_table, s.mul_table) for a in old for b in old))
+    return min(forms)
 
 
 def are_isomorphic(a: FiniteSemiring, b: FiniteSemiring) -> bool:
-    """Brute-force isomorphism test over all carrier bijections."""
-    if a.size != b.size:
-        return False
-    n = a.size
-    for perm in itertools.permutations(range(n)):
-        if perm[a.zero] != b.zero or perm[a.one] != b.one:
-            continue
-        ok = True
-        for x in range(n):
-            for y in range(n):
-                if perm[a.add(x, y)] != b.add(perm[x], perm[y]):
-                    ok = False
-                    break
-                if perm[a.mul(x, y)] != b.mul(perm[x], perm[y]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
+    """Whether a relabelling of the carrier turns one semiring into the other,
+    decided by comparing canonical forms."""
+    return a.size == b.size and _canonical_form(a) == _canonical_form(b)

@@ -2,7 +2,8 @@
 
 Subcommands: validate, expectation-build, ideals, classify, enumerate,
 verify-theorems, expect.  Exit codes: 0 success / all checks pass, 1 any
-validation error or check failure, 2 usage errors.
+validation error, unreadable or unwritable file, or check failure, 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from . import catalog, theorems
 from .construct import build_expectation
 from .elements import classify
 from .ideals import (
-    NotProper,
     enumerate_ideals,
     is_maximal,
     is_primary,
@@ -304,12 +304,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be at least 1")
+    if getattr(args, "max_paths", 1) < 1:
+        parser.error("--max-paths must be at least 1")
     try:
         return args.func(args)
-    except (InvalidStructure, SizeMismatch, BaseMismatch, NotProper, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:  # every typed error here is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from semiringlab import (
@@ -14,7 +17,9 @@ from semiringlab import (
     standard_modules,
     zmod_quotient_module,
 )
+from semiringlab import catalog
 from semiringlab.catalog import BUILTIN_SEMIRING_NAMES
+from semiringlab.tables import validate_semiring
 
 
 def test_builtin_names_all_resolve():
@@ -146,3 +151,137 @@ def test_builtin_pairs_respect_the_size_bound():
 def test_isomorphism_probe():
     assert not are_isomorphic(builtin("boolean").structure, builtin("zmod_2").structure)
     assert are_isomorphic(builtin("chain_2").structure, builtin("chain_2").structure)
+
+
+def _digest(entries):
+    rows = [
+        (e.name, e.structure.add_table, getattr(e.structure, "mul_table", None) or e.structure.action_table)
+        for e in entries
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _modules_over(semirings):
+    return [m for s in semirings for k in (1, 2, 3) for m in enumerate_semimodules(s, k)]
+
+
+_SMALL_BUILTINS = [builtin(n).structure for n in BUILTIN_SEMIRING_NAMES if builtin(n).structure.size <= 4]
+
+
+# Counts and digests of the enumeration, pinned so that a rewrite of the
+# search must reproduce every table, name and position byte for byte.
+@pytest.mark.parametrize(
+    "entries, count, digest",
+    [
+        pytest.param(
+            lambda: enumerate_semirings(2), 2,
+            "19f7a98f60da1b33cb243204eea986eba377f1e5372a8407554943fb0f305e82",
+            id="S2",
+        ),
+        pytest.param(
+            lambda: enumerate_semirings(3), 6,
+            "395cbb41c07d66502d49c9da6450ad422ef1165b7899ecfc6ed94a681bba9eee",
+            id="S3",
+        ),
+        pytest.param(
+            lambda: enumerate_semirings(4), 69,
+            "3401896cea89890a610b2be0aa276583fb855b4f481af984a3c68152ae1e8036",
+            id="S4",
+        ),
+        pytest.param(
+            lambda: enumerate_semirings(4, dedup=True), 36,
+            "e1480ab0fd675e4c0ce146aa392f1148fa210025d02059bc941acd00844a4ad0",
+            id="S4-dedup",
+        ),
+        pytest.param(
+            lambda: _modules_over(e.structure for e in enumerate_semirings(2)), 6,
+            "eafa733c34315d5685f91b18fe81fde2515152fe4f4e73d79f3b30cc9c5e98af",
+            id="M-over-S2",
+        ),
+        pytest.param(
+            lambda: _modules_over(e.structure for e in enumerate_semirings(3)), 40,
+            "48c2ed9c269f70d357ca9573493910903390d3eca9f1311cf44fa74bc007849c",
+            id="M-over-S3",
+        ),
+        pytest.param(
+            lambda: _modules_over(e.structure for e in enumerate_semirings(4)), 587,
+            "65f82ec7ed62bd324b9bddd39a69e297ef5ceb6a6df6081e2f9f0d3b2e35708f",
+            id="M-over-S4",
+        ),
+        # builtins put zero and one at other indices (chain_2, diamond)
+        pytest.param(
+            lambda: _modules_over(_SMALL_BUILTINS), 44,
+            "c660d60a2b76fe711ef011cb878d00000f0a9c7885273518488d498a8fe2c636",
+            id="M-over-builtins",
+        ),
+    ],
+)
+def test_enumeration_is_pinned(entries, count, digest):
+    found = entries()
+    assert len(found) == count
+    assert _digest(found) == digest
+
+
+def test_search_leaves_the_validator_nothing_to_reject(monkeypatch):
+    # every law instance is checked while the tables are filled, so each
+    # candidate the search emits is valid and the validator is a safety net
+    calls = []
+    for name in ("validate_semiring", "validate_semimodule"):
+        real = getattr(catalog, name)
+        monkeypatch.setattr(catalog, name, lambda *args, real=real: calls.append(args) or real(*args))
+    semirings = [e.structure for n in (2, 3, 4) for e in enumerate_semirings(n)]
+    modules = _modules_over(semirings + _SMALL_BUILTINS)
+    assert len(calls) == len(semirings) + len(modules)
+
+
+def reference_isomorphic(a, b):
+    """Brute-force isomorphism test over all carrier bijections (the oracle)."""
+    if a.size != b.size:
+        return False
+    n = a.size
+    for perm in itertools.permutations(range(n)):
+        if perm[a.zero] != b.zero or perm[a.one] != b.one:
+            continue
+        if all(
+            perm[a.add(x, y)] == b.add(perm[x], perm[y]) and perm[a.mul(x, y)] == b.mul(perm[x], perm[y])
+            for x in range(n)
+            for y in range(n)
+        ):
+            return True
+    return False
+
+
+def test_isomorphism_matches_the_bijection_oracle_on_order_four():
+    entries = [e.structure for e in enumerate_semirings(4)]
+    pairs = list(itertools.combinations(entries, 2))
+    assert len(pairs) == 2346
+    mismatches = [(a.name, b.name) for a, b in pairs if are_isomorphic(a, b) != reference_isomorphic(a, b)]
+    assert mismatches == []
+    assert sum(reference_isomorphic(a, b) for a, b in pairs) > 0
+
+
+def _relabel(s, p):
+    """The semiring s with element x renamed p[x]."""
+    add = [[0] * s.size for _ in range(s.size)]
+    mul = [[0] * s.size for _ in range(s.size)]
+    for a in s.elements():
+        for b in s.elements():
+            add[p[a]][p[b]] = p[s.add(a, b)]
+            mul[p[a]][p[b]] = p[s.mul(a, b)]
+    return validate_semiring({"size": s.size, "zero": p[s.zero], "one": p[s.one], "add": add, "mul": mul})
+
+
+def test_isomorphism_matches_the_bijection_oracle_on_relabelled_builtins():
+    structures = [builtin(n).structure for n in BUILTIN_SEMIRING_NAMES]
+    relabelled = []
+    for s in structures:
+        # reverse the carrier; from order 4 on, rotate until zero and one sit off 0 and 1
+        p = list(reversed(range(s.size)))
+        while s.size >= 4 and (p[s.zero] in (0, 1) or p[s.one] in (0, 1)):
+            p = p[1:] + p[:1]
+        relabelled.append(_relabel(s, p))
+    assert sum(r.zero not in (0, 1) and r.one not in (0, 1) for r in relabelled) == 5
+    for r, s in zip(relabelled, structures):
+        assert are_isomorphic(r, s) and reference_isomorphic(r, s)
+    for a, b in itertools.product(structures + relabelled, repeat=2):
+        assert are_isomorphic(a, b) == reference_isomorphic(a, b), (a.name, b.name)

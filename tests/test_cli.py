@@ -210,13 +210,34 @@ def test_non_object_json_is_a_typed_error(capsys, tmp_path, command, payload):
     assert err.startswith("error: ") and "must be a JSON object" in err
 
 
-def test_usage_error_exits_two():
-    with pytest.raises(SystemExit) as err:
-        main(["no-such-command"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main([])
-    assert err.value.code == 2
+def test_usage_error_exits_two(capsys):
+    for argv in (
+        ["no-such-command"],
+        [],
+        ["expect", "--graph", "g.json", "--oracle", "--max-paths", "-1"],
+        ["expect", "--graph", "g.json", "--max-paths", "0"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--order", "2", "--out", "{file}"],
+        ["verify-theorems", "--max-order", "2", "--json", "{dir}"],
+        ["expect", "--graph", "{dir}"],
+    ],
+    ids=["enumerate-out-is-a-file", "verify-json-is-a-directory", "expect-graph-is-a-directory"],
+)
+def test_os_errors_are_reported_not_raised(capsys, tmp_path, argv):
+    existing = write(tmp_path / "existing.json", {})
+    argv = [a.format(file=existing, dir=tmp_path) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 @pytest.mark.parametrize("argv", [["enumerate", "--order", "9"], ["verify-theorems", "--max-order", "9"]])
