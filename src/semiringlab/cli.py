@@ -45,6 +45,10 @@ class NotAnObject(ValueError):
     """An input file whose top-level JSON value is not an object."""
 
 
+class OutputNotEmpty(ValueError):
+    """An output directory that already holds files, which a run would mix with its own."""
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -189,6 +193,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.out and Path(args.out).is_dir() and any(Path(args.out).iterdir()):
+        raise OutputNotEmpty(f"{args.out}: output directory already holds files")
     if args.modules_over:
         semiring = validate_semiring(_load_json(args.modules_over))
         entries = catalog.enumerate_semimodules(semiring, args.order)

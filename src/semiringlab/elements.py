@@ -105,30 +105,20 @@ def associates(structure: FiniteSemiring | FiniteSemimodule, x: int, y: int) -> 
     return cyclic_submodule(structure, x) == cyclic_submodule(structure, y)
 
 
-def strong_associates(
-    structure: FiniteSemiring | FiniteSemimodule,
-    x: int,
-    y: int,
-    units_set: frozenset[int] | None = None,
-) -> bool:
+def strong_associates(structure: FiniteSemiring | FiniteSemimodule, x: int, y: int) -> bool:
     """x = u*y for some unit u of the base."""
     module = _as_module(structure)
-    if units_set is None:
-        units_set = units(module.base).members
-    return any(module.act(u, y) == x for u in units_set)
+    return any(module.act(u, y) == x for u in units(module.base).members)
 
 
-def is_strongly_associate(
-    structure: FiniteSemiring | FiniteSemimodule, units_set: frozenset[int] | None = None
-) -> bool:
+def is_strongly_associate(structure: FiniteSemiring | FiniteSemimodule) -> bool:
     """Associate elements are strong associates (semirings via the self-module view)."""
     module = _as_module(structure)
-    if units_set is None:
-        units_set = units(module.base).members
+    unit_members = units(module.base).members
     cyclic = [cyclic_submodule(module, x) for x in module.elements()]
     for x in module.elements():
         for y in range(x + 1, module.size):
-            if cyclic[x] == cyclic[y] and not strong_associates(module, x, y, units_set):
+            if cyclic[x] == cyclic[y] and not any(module.act(u, y) == x for u in unit_members):
                 return False
     return True
 
@@ -248,7 +238,7 @@ def classify(target: FiniteSemiring | ExpectationInstance) -> ClassReport:
     flags = {
         "local": is_local(semiring),
         "presimplifiable": is_presimplifiable(semiring),
-        "strongly_associate": is_strongly_associate(semiring, u.members),
+        "strongly_associate": is_strongly_associate(semiring),
         "domainlike": is_domainlike(semiring),
         "clean": is_clean(semiring),
         "almost_clean": is_almost_clean(semiring),

@@ -3,7 +3,7 @@
 An ideal is a nonempty subset closed under addition that absorbs
 multiplication by arbitrary elements; a subsemimodule is closed under
 addition and under the scalar action.  An ideal is thus a subsemimodule of
-the semiring over itself, and one closure core over int bitmasks serves
+the semiring over itself, and one enumeration over int bitmasks serves
 both: the least closed set containing a seed is the additive closure of
 zero and the scalar multiples of the seed.  One absorbing pass suffices
 because the validators enforce distributivity, ``1*x = x`` and ``0*x = 0``.
@@ -14,16 +14,14 @@ predicate has one scan: prime and weakly prime share one, and an ideal is
 primary exactly when it is a primary subsemimodule of the self-module.
 Enumeration is Ganter's NextClosure (*Two basic algorithms in concept
 analysis*, 1984/2010), which lists each closed set once, in lectic order;
-the exhaustive subset scan stays as the ``"subsets"`` oracle strategy.
+the test suite checks it against a filter over every subset.
 Element powers are chased at most ``size`` steps, which suffices on a
 finite carrier because the power sequence cycles by then.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .construct import ExpectationInstance, box_members, projections
@@ -39,11 +37,11 @@ from .tables import (
     semiring_as_module,
 )
 
-DEFAULT_MAX_CARRIER = 64
+MAX_CARRIER = 64
 
 
 class CarrierTooLarge(ValueError):
-    """Enumeration refused: the carrier exceeds the configured bound."""
+    """Enumeration refused: the carrier has more than MAX_CARRIER elements."""
 
 
 class NotProper(ValueError):
@@ -122,111 +120,58 @@ def _mask(members: Iterable[int]) -> int:
     return out
 
 
-class _ClosureSystem:
-    """Subsemimodules of one module as int bitmasks; ideals are those of the self-module."""
+def _closed_sets(module: FiniteSemimodule) -> list[frozenset[int]]:
+    """Member sets of every subsemimodule, sorted by size then members.
 
-    def __init__(self, module: FiniteSemimodule):
-        self.size = module.size
-        self.add_table = module.add_table
-        self.zero_bit = 1 << module.zero
-        self.absorb = [_mask(row[g] for row in module.action_table) | self.zero_bit for g in range(self.size)]
-
-    def absorbed(self, seed: int) -> int:
-        """Zero plus every scalar multiple of the elements of ``seed``."""
-        mask = self.zero_bit
-        for g in _bits(seed):
-            mask |= self.absorb[g]
-        return mask
-
-    def close(self, gens: Iterable[int]) -> frozenset[int]:
-        """Least closed set containing ``gens``."""
-        return frozenset(_bits(additive_closure(self.add_table, self.absorbed(_mask(gens)))))
-
-    def closed_sets(self) -> Iterator[int]:
-        """NextClosure: every closed set once, in lectic order, ending with the carrier.
-
-        The successor of ``current`` is the closure of ``below | {i}`` for
-        the largest i outside ``current`` whose closure adds nothing below i
-        (``below`` is ``current`` cut to the indices under i).  Closure only
-        grows a set, so a candidate whose absorbed seed already has a new
-        element below i is dropped before its additive closure is taken.
-        """
-        full = (1 << self.size) - 1
-        current = additive_closure(self.add_table, self.zero_bit)
-        yield current
-        while current != full:
-            for i in reversed(range(self.size)):
-                bit = 1 << i
-                if current & bit:
-                    continue
-                below = current & (bit - 1)
-                seed = self.absorbed(below) | self.absorb[i]
-                if seed & (bit - 1) != below:
-                    continue
-                candidate = additive_closure(self.add_table, seed)
-                if candidate & (bit - 1) == below:
-                    break
-            current = candidate
-            yield current
+    NextClosure lists every closed set once, in lectic order, ending with
+    the carrier.  The successor of ``current`` is the closure of
+    ``below | {i}`` for the largest i outside ``current`` whose closure adds
+    nothing below i (``below`` is ``current`` cut to the indices under i).
+    Closure only grows a set, so a candidate whose absorbed seed (zero plus
+    every scalar multiple of its elements) already has a new element below
+    i is dropped before its additive closure is taken.
+    """
+    size, add_table = module.size, module.add_table
+    if size > MAX_CARRIER:
+        raise CarrierTooLarge(f"carrier size {size} exceeds bound {MAX_CARRIER}")
+    zero_bit = 1 << module.zero
+    absorb = [_mask(row[g] for row in module.action_table) | zero_bit for g in range(size)]
+    full = (1 << size) - 1
+    current = additive_closure(add_table, zero_bit)
+    found = [current]
+    while current != full:
+        for i in reversed(range(size)):
+            bit = 1 << i
+            if current & bit:
+                continue
+            below = current & (bit - 1)
+            seed = zero_bit | absorb[i]
+            for g in _bits(below):
+                seed |= absorb[g]
+            if seed & (bit - 1) != below:
+                continue
+            candidate = additive_closure(add_table, seed)
+            if candidate & (bit - 1) == below:
+                break
+        current = candidate
+        found.append(current)
+    sets = [frozenset(_bits(mask)) for mask in found]
+    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def ideal_closure(semiring: FiniteSemiring, gens: Iterable[int]) -> Ideal:
-    """Least ideal containing ``gens``."""
-    return Ideal(semiring, _ClosureSystem(semiring_as_module(semiring)).close(gens))
-
-
-def submodule_closure(module: FiniteSemimodule, gens: Iterable[int]) -> Subsemimodule:
-    """Least subsemimodule containing ``gens``."""
-    return Subsemimodule(module, _ClosureSystem(module).close(gens))
-
-
-def _closed_sets(module: FiniteSemimodule, violation, strategy: str, max_size: int) -> list[frozenset[int]]:
-    """Member sets of every subsemimodule, sorted by size then members."""
-    if module.size > max_size:
-        raise CarrierTooLarge(f"carrier size {module.size} exceeds bound {max_size}")
-    if strategy == "lattice":
-        found = [frozenset(_bits(mask)) for mask in _ClosureSystem(module).closed_sets()]
-    elif strategy == "subsets":
-        zero = module.zero
-        others = [i for i in module.elements() if i != zero]
-        found = [
-            members
-            for r in range(len(others) + 1)
-            for combo in itertools.combinations(others, r)
-            if violation(members := frozenset(combo) | {zero}) is None
-        ]
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-def enumerate_ideals(
-    semiring: FiniteSemiring,
-    *,
-    strategy: str = "lattice",
-    max_size: int = DEFAULT_MAX_CARRIER,
-) -> list[Ideal]:
+def enumerate_ideals(semiring: FiniteSemiring) -> list[Ideal]:
     """All ideals, sorted by size then members.
 
-    The default ``"lattice"`` strategy lists them with Ganter's NextClosure
-    over the bitmask closure core, as the subsemimodules of the semiring
-    over itself; ``"subsets"`` tests every subset containing zero and is
-    the core's oracle.  Each returned Ideal is verified by its constructor.
+    They are listed with NextClosure as the subsemimodules of the semiring
+    over itself; each returned Ideal is verified by its constructor.  A
+    carrier of more than ``MAX_CARRIER`` elements raises CarrierTooLarge.
     """
-    module = semiring_as_module(semiring)
-    sets = _closed_sets(module, partial(ideal_violation, semiring), strategy, max_size)
-    return [Ideal(semiring, s) for s in sets]
+    return [Ideal(semiring, s) for s in _closed_sets(semiring_as_module(semiring))]
 
 
-def enumerate_subsemimodules(
-    module: FiniteSemimodule,
-    *,
-    strategy: str = "lattice",
-    max_size: int = DEFAULT_MAX_CARRIER,
-) -> list[Subsemimodule]:
-    """All subsemimodules, sorted by size then members; strategies as for enumerate_ideals."""
-    sets = _closed_sets(module, partial(submodule_violation, module), strategy, max_size)
-    return [Subsemimodule(module, s) for s in sets]
+def enumerate_subsemimodules(module: FiniteSemimodule) -> list[Subsemimodule]:
+    """All subsemimodules, sorted by size then members; listed and bounded as for enumerate_ideals."""
+    return [Subsemimodule(module, s) for s in _closed_sets(module)]
 
 
 def is_subtractive(subset: Ideal | Subsemimodule) -> bool:

@@ -191,15 +191,23 @@ class WeightedDag:
 
 
 def graph_from_dict(data: Mapping) -> WeightedDag:
-    """Load the graph JSON shape {d, nodes, source, sink, edges:[{from,to,p,v}]}."""
+    """Load the graph JSON shape {d, nodes, source, sink, edges:[{from,to,p,v}]}.
+
+    ``d`` must be a non-negative integer and ``nodes`` a list.
+    """
     try:
+        dim, nodes = data["d"], data["nodes"]
+        if type(dim) is not int or dim < 0:
+            raise InvalidGraph(f"'d' must be a non-negative integer, got {dim!r}")
+        if not isinstance(nodes, list):
+            raise InvalidGraph(f"'nodes' must be a list, got {nodes!r}")
         edges = tuple(
             GraphEdge(src=e["from"], dst=e["to"], p=float(e["p"]), v=tuple(map(float, e.get("v", ()))))
             for e in data["edges"]
         )
         return WeightedDag(
-            dim=int(data["d"]),
-            nodes=tuple(data["nodes"]),
+            dim=dim,
+            nodes=tuple(nodes),
             source=data["source"],
             sink=data["sink"],
             edges=edges,
@@ -334,22 +342,20 @@ def weight_law_failures(rng: random.Random, trials: int) -> list[str]:
     return failures
 
 
-def random_dag(
-    rng: random.Random,
-    max_nodes: int = 8,
-    max_paths: int = 20,
-    max_dim: int = 3,
-    edge_density: float = 0.45,
-) -> WeightedDag:
-    """Random acyclic graph with a bounded path count (rejection sampled)."""
+def random_dag(rng: random.Random) -> WeightedDag:
+    """Random acyclic graph with at most 20 source-to-sink paths (rejection sampled).
+
+    It has 2 to 8 nodes and vector dimension 0 to 3; each forward edge is
+    present with probability 0.45.
+    """
     while True:
-        count = rng.randint(2, max_nodes)
-        dim = rng.randint(0, max_dim)
+        count = rng.randint(2, 8)
+        dim = rng.randint(0, 3)
         nodes = tuple(f"n{i}" for i in range(count))
         edges = []
         for i in range(count):
             for j in range(i + 1, count):
-                if rng.random() < edge_density:
+                if rng.random() < 0.45:
                     edges.append(
                         GraphEdge(
                             src=nodes[i],
@@ -359,7 +365,7 @@ def random_dag(
                         )
                     )
         g = WeightedDag(dim=dim, nodes=nodes, source=nodes[0], sink=nodes[-1], edges=tuple(edges))
-        if count_paths(g) <= max_paths:
+        if count_paths(g) <= 20:
             return g
 
 

@@ -398,7 +398,7 @@ def is_commutative_mul(semiring: FiniteSemiring) -> bool:
     return _first_noncommutative(semiring.mul_table, semiring.size) is None
 
 
-def semiring_as_module(semiring: FiniteSemiring, name: str | None = None) -> FiniteSemimodule:
+def semiring_as_module(semiring: FiniteSemiring) -> FiniteSemimodule:
     """View a semiring as a semimodule over itself (the action is multiplication)."""
     return FiniteSemimodule(
         base=semiring,
@@ -406,7 +406,7 @@ def semiring_as_module(semiring: FiniteSemiring, name: str | None = None) -> Fin
         add_table=semiring.add_table,
         action_table=semiring.mul_table,
         zero=semiring.zero,
-        name=semiring.name if name is None else name,
+        name=semiring.name,
     )
 
 

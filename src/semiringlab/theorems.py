@@ -544,11 +544,7 @@ def check_presimplifiable_strongly_associate(ctx: PairContext):
     cases = [
         ("scalar", is_presimplifiable(ctx.semiring), lambda: is_strongly_associate(ctx.semiring)),
         ("module", is_presimplifiable_mod(ctx.module), lambda: is_strongly_associate(ctx.module)),
-        (
-            "product",
-            is_presimplifiable(ctx.product),
-            lambda: is_strongly_associate(ctx.product, ctx.units_e_formula),
-        ),
+        ("product", is_presimplifiable(ctx.product), lambda: is_strongly_associate(ctx.product)),
     ]
     for role, presimp, strongly in cases:
         if presimp:
@@ -560,7 +556,7 @@ def check_presimplifiable_strongly_associate(ctx: PairContext):
 
 
 def check_strongly_associate_transfer(ctx: PairContext):
-    sa_product = is_strongly_associate(ctx.product, ctx.units_e_formula)
+    sa_product = is_strongly_associate(ctx.product)
     sa_scalar = is_strongly_associate(ctx.semiring)
     sa_module = is_strongly_associate(ctx.module)
     if sa_product and not (sa_scalar and sa_module):
@@ -687,11 +683,9 @@ class GridCell:
     module: FiniteSemimodule
 
 
-def default_grid(
-    max_order: int = 3, *, include_builtins: bool = True, module_order: int = 3, max_product: int = 16
-) -> list[GridCell]:
-    """Enumerated pairs up to the given orders plus builtin pairs with small products."""
-    if max_order > catalog.MAX_ENUM_ORDER:
+def default_grid(max_order: int = 3, *, include_builtins: bool = True, module_order: int = 3) -> list[GridCell]:
+    """Enumerated pairs up to the given orders plus the builtin pairs with products of at most 16 elements."""
+    if not 2 <= max_order <= catalog.MAX_ENUM_ORDER:
         raise catalog.OrderTooLarge(f"supported orders are 2..{catalog.MAX_ENUM_ORDER}, got {max_order}")
     cells = []
     for n in range(2, max_order + 1):
@@ -701,31 +695,26 @@ def default_grid(
                     label = f"E({s_entry.name}, {m_entry.name})"
                     cells.append(GridCell(label, s_entry.structure, m_entry.structure))
     if include_builtins:
-        for name, semiring, module in catalog.builtin_pairs(max_product=max_product):
+        for name, semiring, module in catalog.builtin_pairs():
             label = f"E({name}, {module.name or 'M'})"
             cells.append(GridCell(label, semiring, module))
     return cells
 
 
+def _record(theorem: str, instance: str, decide, *args) -> CheckRecord:
+    """Time ``decide(*args)``, which returns (status, witness); a crash becomes a FAIL record."""
+    started = time.perf_counter()
+    try:
+        status, witness = decide(*args)
+    except Exception as exc:  # a crashed check is a failed check
+        status, witness = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
+    return CheckRecord(theorem, instance, status, witness, time.perf_counter() - started)
+
+
 def run_pair(label: str, semiring: FiniteSemiring, module: FiniteSemimodule):
     """Run every registered check on one grid cell."""
     ctx = PairContext(label=label, semiring=semiring, module=module)
-    records = []
-    for theorem, _statement, fn in CHECKS:
-        started = time.perf_counter()
-        try:
-            status, witness = fn(ctx)
-        except Exception as exc:  # a crashed check is a failed check
-            status, witness = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
-        records.append(
-            CheckRecord(
-                theorem=theorem,
-                instance=label,
-                status=status,
-                witness=witness,
-                runtime=time.perf_counter() - started,
-            )
-        )
+    records = [_record(theorem, label, fn, ctx) for theorem, _statement, fn in CHECKS]
     return records, list(ctx.census)
 
 
@@ -815,6 +804,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _numeric_section(scan, seed: int, trials: int):
+    """Status and first three failures of a seeded numeric scan."""
+    failures = scan(random.Random(seed), trials)
+    return (FAIL if failures else PASS), failures[:3] or None
+
+
 def run_suite(
     cells: list[GridCell], *, seed: int = 0, jobs: int = 1, include_numeric: bool = True
 ) -> VerificationReport:
@@ -827,28 +822,12 @@ def run_suite(
         census.extend(cell_census)
 
     if include_numeric:
-        started = time.perf_counter()
-        law_failures = weight_law_failures(random.Random(seed), 1000)
-        records.append(
-            CheckRecord(
-                theorem="numeric-weight-laws",
-                instance="random weights",
-                status=FAIL if law_failures else PASS,
-                witness=law_failures[:3] or None,
-                runtime=time.perf_counter() - started,
-            )
+        sections = (
+            ("numeric-weight-laws", "random weights", weight_law_failures, seed, 1000),
+            ("numeric-oracle", "random graphs", oracle_disagreements, seed + 1, 100),
         )
-        started = time.perf_counter()
-        oracle_failures = oracle_disagreements(random.Random(seed + 1), 100)
-        records.append(
-            CheckRecord(
-                theorem="numeric-oracle",
-                instance="random graphs",
-                status=FAIL if oracle_failures else PASS,
-                witness=oracle_failures[:3] or None,
-                runtime=time.perf_counter() - started,
-            )
-        )
+        for theorem, instance, scan, scan_seed, trials in sections:
+            records.append(_record(theorem, instance, _numeric_section, scan, scan_seed, trials))
 
     informational = [weakly_prime_forward_probe()]
     informational.append(

@@ -67,6 +67,14 @@ def test_expectation_build_and_ideals(capsys, tmp_path, z4_file, module_file):
     assert any(row["prime"] for row in rows if row["proper"])
 
 
+def test_ideals_refuses_a_carrier_past_the_bound(capsys, tmp_path):
+    path = write(tmp_path / "chain.json", semiring_to_dict(builtin("chain_64").structure))
+    assert main(["ideals", "--instance", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: carrier size 65 exceeds bound 64\n"
+    assert captured.out == ""
+
+
 def test_classify_product(capsys, tmp_path, z4_file, module_file):
     assert main(["classify", "--instance", z4_file, "--module", module_file]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -80,6 +88,18 @@ def test_enumerate_semirings_to_dir(capsys, tmp_path):
     assert main(["enumerate", "--order", "2", "--out", str(out_dir)]) == 0
     files = sorted(p.name for p in out_dir.iterdir())
     assert files == ["S2.00.json", "S2.01.json"]
+
+
+def test_enumerate_refuses_a_directory_that_holds_files(capsys, tmp_path, z4_file):
+    out_dir = tmp_path / "enum"
+    assert main(["enumerate", "--order", "2", "--out", str(out_dir)]) == 0
+    first = {p.name: p.read_text() for p in out_dir.iterdir()}
+    capsys.readouterr()
+    assert main(["enumerate", "--order", "3", "--modules-over", z4_file, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out_dir}: output directory already holds files\n"
+    assert {p.name: p.read_text() for p in out_dir.iterdir()} == first
 
 
 def test_enumerate_modules_over(capsys, tmp_path, z4_file):
@@ -178,6 +198,14 @@ def test_expect_runs_the_forward_pass_once(tmp_path, capsys, monkeypatch, edges,
     assert len(calls) == 1
 
 
+def test_expect_rejects_a_fractional_dimension(tmp_path, capsys):
+    graph = dict(two_node_graph(1.0, [1.0]), d=2.5)
+    assert main(["expect", "--graph", write(tmp_path / "g.json", graph)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: 'd' must be a non-negative integer, got 2.5\n"
+    assert captured.out == ""
+
+
 def test_expect_json_option_is_gone(tmp_path):
     path = write(tmp_path / "g.json", two_node_graph(1.0, [1.0]))
     with pytest.raises(SystemExit) as err:
@@ -240,10 +268,13 @@ def test_os_errors_are_reported_not_raised(capsys, tmp_path, argv):
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
-@pytest.mark.parametrize("argv", [["enumerate", "--order", "9"], ["verify-theorems", "--max-order", "9"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--order", "9"], ["verify-theorems", "--max-order", "9"], ["verify-theorems", "--max-order", "1"]],
+)
 def test_out_of_range_order_exits_one(capsys, argv):
     # a typed OrderTooLarge error, not a usage error: exit 1, not 2
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: supported orders are ")
-    assert "got 9" in err
+    assert f"got {argv[-1]}" in err

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiringlab import (
+    CarrierTooLarge,
+    FiniteSemiring,
     Ideal,
     NotAnIdeal,
     NotProper,
@@ -17,7 +19,6 @@ from semiringlab import (
     default_grid,
     enumerate_ideals,
     enumerate_subsemimodules,
-    ideal_closure,
     ideal_projections,
     is_maximal,
     is_primary,
@@ -28,6 +29,7 @@ from semiringlab import (
     is_weakly_prime,
     radical,
     residual,
+    run_pair,
     self_module,
     submodule_radical,
     validate_semimodule,
@@ -36,17 +38,22 @@ from semiringlab import (
 )
 
 
-def brute_ideal_sets(semiring):
-    """Definition-level oracle: filter every subset directly."""
+def brute_closed_sets(carrier):
+    """Definition-level oracle: filter every nonempty subset directly.
+
+    A subset qualifies when it is closed under addition and under the scalar
+    action, which for a semiring is its multiplication: the ideals of a
+    semiring, the subsemimodules of a module.
+    """
+    action = carrier.mul_table if isinstance(carrier, FiniteSemiring) else carrier.action_table
+    add = carrier.add_table
     out = []
-    carrier = list(semiring.elements())
-    for r in range(len(carrier) + 1):
-        for combo in itertools.combinations(carrier, r):
+    elements = list(carrier.elements())
+    for r in range(1, len(elements) + 1):
+        for combo in itertools.combinations(elements, r):
             members = frozenset(combo)
-            if not members:
-                continue
-            closed = all(semiring.add(a, b) in members for a in members for b in members)
-            absorbs = all(semiring.mul(s, a) in members for s in carrier for a in members)
+            closed = all(add[a][b] in members for a in members for b in members)
+            absorbs = all(row[a] in members for row in action for a in members)
             if closed and absorbs:
                 out.append(members)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
@@ -55,20 +62,25 @@ def brute_ideal_sets(semiring):
 @pytest.mark.parametrize("name", ["boolean", "zmod_4", "trunc_nat_2", "diamond", "zmod_6"])
 def test_enumeration_matches_definition_oracle(name):
     s = builtin(name).structure
-    expected = brute_ideal_sets(s)
-    for strategy in ("subsets", "lattice"):
-        got = [i.members for i in enumerate_ideals(s, strategy=strategy)]
-        assert got == expected
+    assert [i.members for i in enumerate_ideals(s)] == brute_closed_sets(s)
+    m = self_module(s)
+    assert [n.members for n in enumerate_subsemimodules(m)] == brute_closed_sets(m)
 
 
 def test_enumeration_strategies_agree_on_products():
+    """NextClosure and the subset filter agree on products of 8 and 16 elements."""
     z4 = builtin("zmod_4").structure
     small = build_expectation(z4, zmod_quotient_module(4, 2)).product
     large = build_expectation(z4, self_module(z4)).product
     for product in (small, large):
-        subsets = [i.members for i in enumerate_ideals(product, strategy="subsets")]
-        lattice = [i.members for i in enumerate_ideals(product, strategy="lattice")]
-        assert subsets == lattice
+        assert [i.members for i in enumerate_ideals(product)] == brute_closed_sets(product)
+
+
+def test_carrier_bound():
+    chain = builtin("chain_64").structure
+    assert chain.size == 65
+    with pytest.raises(CarrierTooLarge, match="carrier size 65 exceeds bound 64"):
+        enumerate_ideals(chain)
 
 
 def test_core_matches_subset_oracle_on_default_grid():
@@ -85,9 +97,7 @@ def test_core_matches_subset_oracle_on_default_grid():
             if key in seen:
                 continue
             seen.add(key)
-            subsets = [c.members for c in enumerate_closed(carrier, strategy="subsets")]
-            lattice = [c.members for c in enumerate_closed(carrier)]
-            assert lattice == subsets, cell.label
+            assert [c.members for c in enumerate_closed(carrier)] == brute_closed_sets(carrier), cell.label
 
 
 def _builtin_pair(name, module_name):
@@ -160,12 +170,25 @@ def test_enumeration_is_label_invariant(data):
     assert {c.members for c in enumerate_ideals(inst2.product)} == _image(enumerate_ideals(inst.product), relabel_pair)
 
 
-def test_closure_examples():
-    z4 = builtin("zmod_4").structure
-    assert ideal_closure(z4, {2}).indices() == (0, 2)
-    assert ideal_closure(z4, set()).indices() == (0,)
-    b = builtin("boolean").structure
-    assert ideal_closure(b, {1}).indices() == (0, 1)
+def _rotation(size, avoid):
+    """The first rotation p[i] = i + k (mod size) with p[i] outside ``avoid[i]``; the identity if none."""
+    for shift in range(1, size):
+        p = [(i + shift) % size for i in range(size)]
+        if all(p[i] not in bad for i, bad in avoid.items()):
+            return p
+    return list(range(size))
+
+
+def test_check_statuses_are_label_invariant():
+    for cell in default_grid(max_order=3):
+        s, m = cell.semiring, cell.module
+        # zero and one leave their own index and the usual positions 0 and 1 where the size allows
+        p = _rotation(s.size, {s.zero: {0, s.zero}, s.one: {1, s.one}})
+        q = _rotation(m.size, {m.zero: {0, m.zero}})
+        s2 = _relabel_semiring(s, p)
+        m2 = _relabel_module(m, s2, p, q)
+        statuses = [(r.theorem, r.status) for r in run_pair(cell.label, s, m)[0]]
+        assert [(r.theorem, r.status) for r in run_pair(cell.label, s2, m2)[0]] == statuses, cell.label
 
 
 def test_known_ideal_lattices():
@@ -302,7 +325,8 @@ def test_projections_examples():
     i, n = ideal_projections(inst, slice_ideal)
     assert i.indices() == (0,) and n.indices() == (0, 1, 2, 3)
 
-    generated = ideal_closure(inst.product, {inst.index_of(2, 0)})
+    # the least ideal containing (2, 0): ideals come sorted by size
+    generated = next(j for j in enumerate_ideals(inst.product) if inst.index_of(2, 0) in j.members)
     assert {inst.pair_of(k) for k in generated.members} == {(a, b) for a in (0, 2) for b in (0, 2)}
     i, n = ideal_projections(inst, generated)
     assert i.indices() == (0, 2) and n.indices() == (0, 2)

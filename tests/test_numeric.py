@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -461,6 +462,25 @@ def test_non_finite_edge_data_rejected(p, v):
             "edges": [{"from": "s", "to": "t", "p": p, "v": v}]}
     with pytest.raises(InvalidGraph, match=r"edge s->t has non-finite data"):
         graph_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("d", 2.5, "'d' must be a non-negative integer, got 2.5"),
+        ("d", "1", "'d' must be a non-negative integer, got '1'"),
+        ("d", True, "'d' must be a non-negative integer, got True"),
+        ("d", -1, "'d' must be a non-negative integer, got -1"),
+        ("nodes", "st", "'nodes' must be a list, got 'st'"),
+        ("nodes", {"s": 0, "t": 1}, "'nodes' must be a list"),
+    ],
+    ids=["d-float", "d-string", "d-bool", "d-negative", "nodes-string", "nodes-object"],
+)
+def test_malformed_dimension_or_node_list_rejected(field, value, message):
+    data = {"d": 1, "nodes": ["s", "t"], "source": "s", "sink": "t",
+            "edges": [{"from": "s", "to": "t", "p": 1.0, "v": [0.5]}]}
+    with pytest.raises(InvalidGraph, match=re.escape(message)):
+        graph_from_dict(dict(data, **{field: value}))
 
 
 def test_prelifted_weights_rejected():
