@@ -54,49 +54,15 @@ class CatalogEntry:
     provenance: str  # "builtin" or "enumerated"
 
 
-def _boolean_data() -> dict:
+def _op_data(name: str, n: int, one: int, add, mul) -> dict:
+    """Table data of the semiring on 0..n-1 with zero 0 and the given operations."""
     return {
-        "name": "boolean",
-        "size": 2,
-        "zero": 0,
-        "one": 1,
-        "add": [[0, 1], [1, 1]],
-        "mul": [[0, 0], [0, 1]],
-    }
-
-
-def _chain_data(k: int) -> dict:
-    n = k + 1
-    return {
-        "name": f"chain_{k}",
+        "name": name,
         "size": n,
         "zero": 0,
-        "one": k,
-        "add": [[max(i, j) for j in range(n)] for i in range(n)],
-        "mul": [[min(i, j) for j in range(n)] for i in range(n)],
-    }
-
-
-def _trunc_nat_data(k: int) -> dict:
-    n = k + 1
-    return {
-        "name": f"trunc_nat_{k}",
-        "size": n,
-        "zero": 0,
-        "one": 1,
-        "add": [[min(i + j, k) for j in range(n)] for i in range(n)],
-        "mul": [[min(i * j, k) for j in range(n)] for i in range(n)],
-    }
-
-
-def _zmod_data(n: int, name: str | None = None) -> dict:
-    return {
-        "name": name or f"zmod_{n}",
-        "size": n,
-        "zero": 0,
-        "one": 1,
-        "add": [[(i + j) % n for j in range(n)] for i in range(n)],
-        "mul": [[(i * j) % n for j in range(n)] for i in range(n)],
+        "one": one,
+        "add": [[add(i, j) for j in range(n)] for i in range(n)],
+        "mul": [[mul(i, j) for j in range(n)] for i in range(n)],
     }
 
 
@@ -121,29 +87,31 @@ def _is_prime_number(p: int) -> bool:
 def builtin(name: str) -> CatalogEntry:
     """Look up a named builtin semiring; tables are run through the validator."""
     if name == "boolean":
-        data = _boolean_data()
+        data = _op_data(name, 2, 1, max, min)
     elif name == "diamond":
         data = _diamond_data()
     elif m := re.fullmatch(r"chain_(\d+)", name):
         k = int(m.group(1))
         if k < 1:
             raise UnknownName(f"chain height must be >= 1: {name}")
-        data = _chain_data(k)
+        data = _op_data(f"chain_{k}", k + 1, k, max, min)
     elif m := re.fullmatch(r"trunc_nat_(\d+)", name):
         k = int(m.group(1))
         if k < 1:
             raise UnknownName(f"truncation bound must be >= 1: {name}")
-        data = _trunc_nat_data(k)
+        data = _op_data(
+            f"trunc_nat_{k}", k + 1, 1, lambda i, j: min(i + j, k), lambda i, j: min(i * j, k)
+        )
     elif m := re.fullmatch(r"zmod_(\d+)", name):
         n = int(m.group(1))
         if n < 2:
             raise UnknownName(f"modulus must be >= 2: {name}")
-        data = _zmod_data(n)
+        data = _op_data(f"zmod_{n}", n, 1, lambda i, j: (i + j) % n, lambda i, j: (i * j) % n)
     elif m := re.fullmatch(r"field_(\d+)", name):
         p = int(m.group(1))
         if not _is_prime_number(p):
             raise UnknownName(f"field order must be prime here: {name}")
-        data = _zmod_data(p, name=name)
+        data = _op_data(name, p, 1, lambda i, j: (i + j) % p, lambda i, j: (i * j) % p)
     else:
         raise UnknownName(f"no builtin named {name!r}")
     return CatalogEntry(name=name, structure=validate_semiring(data), provenance="builtin")
@@ -215,20 +183,20 @@ def product_module(m1: FiniteSemimodule, m2: FiniteSemimodule) -> FiniteSemimodu
     """Componentwise product of two modules over the same base."""
     if not same_semiring(m1.base, m2.base):
         raise BaseMismatch("product modules need a common base semiring")
-    pairs = [(x, y) for x in range(m1.size) for y in range(m2.size)]
-    index = {p: k for k, p in enumerate(pairs)}
+    m = m2.size  # the pair (x, y) has index x * m + y
+    pairs = [(x, y) for x in range(m1.size) for y in range(m)]
     return validate_semimodule(
         m1.base,
         {
             "name": f"{m1.name or 'M'}x{m2.name or 'N'}",
             "size": len(pairs),
-            "zero": index[(m1.zero, m2.zero)],
+            "zero": m1.zero * m + m2.zero,
             "add": [
-                [index[(m1.add(x1, x2), m2.add(y1, y2))] for (x2, y2) in pairs]
+                [m1.add(x1, x2) * m + m2.add(y1, y2) for (x2, y2) in pairs]
                 for (x1, y1) in pairs
             ],
             "action": [
-                [index[(m1.act(s, x), m2.act(s, y))] for (x, y) in pairs]
+                [m1.act(s, x) * m + m2.act(s, y) for (x, y) in pairs]
                 for s in range(m1.base.size)
             ],
         },

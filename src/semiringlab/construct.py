@@ -14,7 +14,6 @@ the zero-scalar slice, and cross-checks the triangular-record presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .tables import (
     BaseMismatch,
@@ -31,25 +30,24 @@ from .tables import (
 class ExpectationInstance:
     """A built product semiring plus back-references to its factors.
 
-    ``pairs[k]`` is the (scalar index, module index) pair at product index k;
-    the bijection is stored rather than recomputed so subsets of the product
-    map back to factor coordinates cheaply.
+    Product index k is the pair (k // m, k % m) of a scalar index and a
+    module index, where m is the module size.
     """
 
     product: FiniteSemiring
     factor_semiring: FiniteSemiring
     factor_module: FiniteSemimodule
-    pairs: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def _pair_index(self) -> dict[tuple[int, int], int]:
-        return {pair: k for k, pair in enumerate(self.pairs)}
 
     def index_of(self, s: int, x: int) -> int:
-        return self._pair_index[(s, x)]
+        return s * self.factor_module.size + x
 
     def pair_of(self, k: int) -> tuple[int, int]:
-        return self.pairs[k]
+        return divmod(k, self.factor_module.size)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (scalar index, module index) pair of every product index, in order."""
+        return tuple(map(self.pair_of, self.product.elements()))
 
 
 @dataclass(frozen=True)
@@ -69,20 +67,17 @@ def build_expectation(semiring: FiniteSemiring, module: FiniteSemimodule) -> Exp
     if not same_semiring(module.base, semiring):
         raise BaseMismatch("module is not defined over the given semiring")
     n, m = semiring.size, module.size
-    pairs = tuple((s, x) for s in range(n) for x in range(m))
-    index = {pair: k for k, pair in enumerate(pairs)}
-
-    add_rows = []
-    mul_rows = []
-    for s1, x1 in pairs:
-        add_row = []
-        mul_row = []
-        for s2, x2 in pairs:
-            add_row.append(index[(semiring.add(s1, s2), module.add(x1, x2))])
-            corner = module.add(module.act(s1, x2), module.act(s2, x1))
-            mul_row.append(index[(semiring.mul(s1, s2), corner)])
-        add_rows.append(add_row)
-        mul_rows.append(mul_row)
+    pairs = [(s, x) for s in range(n) for x in range(m)]
+    add_rows = [
+        [semiring.add(s1, s2) * m + module.add(x1, x2) for s2, x2 in pairs] for s1, x1 in pairs
+    ]
+    mul_rows = [
+        [
+            semiring.mul(s1, s2) * m + module.add(module.act(s1, x2), module.act(s2, x1))
+            for s2, x2 in pairs
+        ]
+        for s1, x1 in pairs
+    ]
 
     s_name = semiring.name or "S"
     m_name = module.name or "M"
@@ -90,15 +85,13 @@ def build_expectation(semiring: FiniteSemiring, module: FiniteSemimodule) -> Exp
         {
             "name": f"E({s_name}, {m_name})",
             "size": n * m,
-            "zero": index[(semiring.zero, module.zero)],
-            "one": index[(semiring.one, module.zero)],
+            "zero": semiring.zero * m + module.zero,
+            "one": semiring.one * m + module.zero,
             "add": add_rows,
             "mul": mul_rows,
         }
     )
-    return ExpectationInstance(
-        product=product, factor_semiring=semiring, factor_module=module, pairs=pairs
-    )
+    return ExpectationInstance(product=product, factor_semiring=semiring, factor_module=module)
 
 
 def embed_s(instance: ExpectationInstance, s: int) -> int:
@@ -118,7 +111,7 @@ def box_members(instance: ExpectationInstance, scalars, vectors) -> frozenset[in
 
 def projections(instance: ExpectationInstance, members) -> tuple[frozenset[int], frozenset[int]]:
     """Scalar and module coordinates of the product indices in ``members``."""
-    pairs = [instance.pairs[k] for k in members]
+    pairs = [instance.pair_of(k) for k in members]
     return frozenset(s for s, _x in pairs), frozenset(x for _s, x in pairs)
 
 

@@ -2,6 +2,8 @@
 
 All sets are computed by exhaustive search; the class flags (local,
 presimplifiable, clean, ...) are plain quantifier scans over the carrier.
+A concept defined for modules as well as semirings has one function that
+takes either; a semiring is read as its self-module.
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ def nilpotents(semiring: FiniteSemiring) -> Subset:
     return Subset(semiring, frozenset(a for a in semiring.elements() if _power_in(semiring, a, zero)))
 
 
-def zero_divisors(semiring: FiniteSemiring) -> Subset:
-    """Elements killed by some nonzero element; zero itself always qualifies."""
-    return zero_divisors_mod(semiring_as_module(semiring))
+def _as_module(structure: FiniteSemiring | FiniteSemimodule) -> FiniteSemimodule:
+    return semiring_as_module(structure) if isinstance(structure, FiniteSemiring) else structure
 
 
-def zero_divisors_mod(module: FiniteSemimodule) -> Subset:
-    """Scalars killing some nonzero module element."""
+def zero_divisors(structure: FiniteSemiring | FiniteSemimodule) -> Subset:
+    """Scalars killing some nonzero element; for a semiring, zero itself always qualifies."""
+    module = _as_module(structure)
     if module.size == 1:
         raise EmptyModule("zero-divisors of the trivial module are undefined")
     zero = module.zero
@@ -73,13 +75,9 @@ def is_local(semiring: FiniteSemiring) -> bool:
     return ideal_violation(semiring, nonunits) is None
 
 
-def is_presimplifiable(semiring: FiniteSemiring) -> bool:
-    """st = t forces s a unit or t = 0."""
-    return is_presimplifiable_mod(semiring_as_module(semiring))
-
-
-def is_presimplifiable_mod(module: FiniteSemimodule) -> bool:
-    """sm = m forces s a unit of the base or m = 0."""
+def is_presimplifiable(structure: FiniteSemiring | FiniteSemimodule) -> bool:
+    """sx = x forces s a unit of the base or x = 0."""
+    module = _as_module(structure)
     u = units(module.base).members
     for s in module.base.elements():
         if s in u:
@@ -88,10 +86,6 @@ def is_presimplifiable_mod(module: FiniteSemimodule) -> bool:
             if x != module.zero and module.act(s, x) == x:
                 return False
     return True
-
-
-def _as_module(structure: FiniteSemiring | FiniteSemimodule) -> FiniteSemimodule:
-    return semiring_as_module(structure) if isinstance(structure, FiniteSemiring) else structure
 
 
 def cyclic_submodule(structure: FiniteSemiring | FiniteSemimodule, x: int) -> frozenset[int]:
@@ -123,14 +117,10 @@ def is_strongly_associate(structure: FiniteSemiring | FiniteSemimodule) -> bool:
     return True
 
 
-def is_domainlike(semiring: FiniteSemiring) -> bool:
-    """All zero-divisors are nilpotent."""
-    return is_domainlike_mod(semiring_as_module(semiring))
-
-
-def is_domainlike_mod(module: FiniteSemimodule) -> bool:
-    """All module zero-divisors are nilpotent in the base."""
-    return zero_divisors_mod(module).members <= nilpotents(module.base).members
+def is_domainlike(structure: FiniteSemiring | FiniteSemimodule) -> bool:
+    """All zero-divisors are nilpotent in the base."""
+    module = _as_module(structure)
+    return zero_divisors(module).members <= nilpotents(module.base).members
 
 
 def _idempotent_sums(semiring: FiniteSemiring, parts) -> set[int]:
@@ -157,7 +147,7 @@ def almost_clean_by_parts(semiring: FiniteSemiring, module: FiniteSemimodule) ->
     """
     bad = zero_divisors(semiring).members
     if module.size > 1:
-        bad = bad | zero_divisors_mod(module).members
+        bad = bad | zero_divisors(module).members
     good = frozenset(semiring.elements()) - bad
     return len(_idempotent_sums(semiring, good)) == semiring.size
 

@@ -225,11 +225,9 @@ def is_weakly_prime(ideal: Ideal) -> bool:
     return _prime_scan(ideal, ideal.parent.zero)
 
 
-def is_maximal(ideal: Ideal, all_ideals: Sequence[Ideal] | None = None) -> bool:
-    """No proper ideal strictly contains the given proper ideal."""
+def is_maximal(ideal: Ideal, all_ideals: Sequence[Ideal]) -> bool:
+    """No proper ideal in ``all_ideals`` (the ideals of its parent) strictly contains it."""
     _require_proper(ideal)
-    if all_ideals is None:
-        all_ideals = enumerate_ideals(ideal.parent)
     for other in all_ideals:
         if other.is_proper() and ideal.members < other.members:
             return False

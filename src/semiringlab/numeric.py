@@ -190,10 +190,23 @@ class WeightedDag:
         return self._out.get(node, ())  # type: ignore[attr-defined]
 
 
+_NUMBER_TYPES = frozenset({int, float})  # JSON numbers; bool is a separate type
+
+
+def _edge_from_dict(e: Mapping) -> GraphEdge:
+    src, dst, p, v = e["from"], e["to"], e["p"], e.get("v", [])
+    if type(p) not in _NUMBER_TYPES:
+        raise InvalidGraph(f"edge {src}->{dst}: 'p' must be a number, got {p!r}")
+    if type(v) is not list or not _NUMBER_TYPES.issuperset(map(type, v)):
+        raise InvalidGraph(f"edge {src}->{dst}: 'v' must be a list of numbers, got {v!r}")
+    return GraphEdge(src=src, dst=dst, p=float(p), v=tuple(map(float, v)))
+
+
 def graph_from_dict(data: Mapping) -> WeightedDag:
     """Load the graph JSON shape {d, nodes, source, sink, edges:[{from,to,p,v}]}.
 
-    ``d`` must be a non-negative integer and ``nodes`` a list.
+    ``d`` must be a non-negative integer, ``nodes`` a list, each edge's ``p``
+    a number and its ``v`` (empty when left out) a list of numbers.
     """
     try:
         dim, nodes = data["d"], data["nodes"]
@@ -201,10 +214,7 @@ def graph_from_dict(data: Mapping) -> WeightedDag:
             raise InvalidGraph(f"'d' must be a non-negative integer, got {dim!r}")
         if not isinstance(nodes, list):
             raise InvalidGraph(f"'nodes' must be a list, got {nodes!r}")
-        edges = tuple(
-            GraphEdge(src=e["from"], dst=e["to"], p=float(e["p"]), v=tuple(map(float, e.get("v", ()))))
-            for e in data["edges"]
-        )
+        edges = tuple(map(_edge_from_dict, data["edges"]))
         return WeightedDag(
             dim=dim,
             nodes=tuple(nodes),
@@ -212,7 +222,7 @@ def graph_from_dict(data: Mapping) -> WeightedDag:
             sink=data["sink"],
             edges=edges,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidGraph(f"malformed graph data: {exc}") from exc
 
 

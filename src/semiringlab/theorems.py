@@ -39,14 +39,12 @@ from .elements import (
     is_domainlike,
     is_local,
     is_presimplifiable,
-    is_presimplifiable_mod,
     is_semifield,
     is_strongly_associate,
     is_weakly_clean,
     nilpotents,
     units,
     zero_divisors,
-    zero_divisors_mod,
 )
 from .ideals import (
     Ideal,
@@ -193,7 +191,7 @@ class PairContext:
     def z_m(self) -> frozenset[int]:
         if self.module.size == 1:
             return frozenset()
-        return zero_divisors_mod(self.module).members
+        return zero_divisors(self.module).members
 
     @cached_property
     def nil_s(self) -> frozenset[int]:
@@ -211,18 +209,27 @@ class PairContext:
     def nil_e(self) -> frozenset[int]:
         return nilpotents(self.product).members
 
+    def _by_role(self, predicate) -> dict[str, bool]:
+        """``predicate`` on the scalars, the module and the product, keyed by role."""
+        roles = {"scalar": self.semiring, "module": self.module, "product": self.product}
+        return {role: predicate(structure) for role, structure in roles.items()}
+
+    @cached_property
+    def presimplifiable(self) -> dict[str, bool]:
+        return self._by_role(is_presimplifiable)
+
+    @cached_property
+    def strongly_associate(self) -> dict[str, bool]:
+        return self._by_role(is_strongly_associate)
+
 
 def _is_graded(ctx: PairContext, members: frozenset[int]) -> bool:
     """Every member splits into a scalar-slice part and a zero-scalar part inside the set."""
-    module_zero = ctx.module.zero
-    scalar_zero = ctx.semiring.zero
-    for k in members:
-        s, x = ctx.instance.pair_of(k)
-        if ctx.instance.index_of(s, module_zero) not in members:
-            return False
-        if ctx.instance.index_of(scalar_zero, x) not in members:
-            return False
-    return True
+    index_of, module_zero, scalar_zero = ctx.instance.index_of, ctx.module.zero, ctx.semiring.zero
+    return all(
+        index_of(s, module_zero) in members and index_of(scalar_zero, x) in members
+        for s, x in map(ctx.instance.pair_of, members)
+    )
 
 
 def _full_module_box_scalars(ctx: PairContext, members: frozenset[int]) -> frozenset[int] | None:
@@ -535,34 +542,28 @@ def check_semifield_local(ctx: PairContext):
 
 
 def check_presimplifiable_iff(ctx: PairContext):
-    lhs = is_presimplifiable(ctx.product)
-    rhs = ctx.vset_full and is_presimplifiable(ctx.semiring) and is_presimplifiable_mod(ctx.module)
+    presimp = ctx.presimplifiable
+    lhs = presimp["product"]
+    rhs = ctx.vset_full and presimp["scalar"] and presimp["module"]
     return (PASS, None) if lhs == rhs else (FAIL, {"product": lhs, "factors": rhs})
 
 
 def check_presimplifiable_strongly_associate(ctx: PairContext):
-    cases = [
-        ("scalar", is_presimplifiable(ctx.semiring), lambda: is_strongly_associate(ctx.semiring)),
-        ("module", is_presimplifiable_mod(ctx.module), lambda: is_strongly_associate(ctx.module)),
-        ("product", is_presimplifiable(ctx.product), lambda: is_strongly_associate(ctx.product)),
-    ]
-    for role, presimp, strongly in cases:
-        if presimp:
-            if not strongly():
-                return FAIL, {"structure": role}
-        elif strongly():
+    for role, presimp in ctx.presimplifiable.items():
+        strongly = ctx.strongly_associate[role]
+        if presimp and not strongly:
+            return FAIL, {"structure": role}
+        if strongly and not presimp:
             ctx.census.append(f"{ctx.label}:{role}")
     return PASS, None
 
 
 def check_strongly_associate_transfer(ctx: PairContext):
-    sa_product = is_strongly_associate(ctx.product)
-    sa_scalar = is_strongly_associate(ctx.semiring)
-    sa_module = is_strongly_associate(ctx.module)
-    if sa_product and not (sa_scalar and sa_module):
-        return FAIL, {"scalar": sa_scalar, "module": sa_module}
-    if is_presimplifiable(ctx.semiring) and ctx.vset_full and sa_product != sa_module:
-        return FAIL, {"product": sa_product, "module": sa_module}
+    sa = ctx.strongly_associate
+    if sa["product"] and not (sa["scalar"] and sa["module"]):
+        return FAIL, {"scalar": sa["scalar"], "module": sa["module"]}
+    if ctx.presimplifiable["scalar"] and ctx.vset_full and sa["product"] != sa["module"]:
+        return FAIL, {"product": sa["product"], "module": sa["module"]}
     return PASS, None
 
 

@@ -206,6 +206,13 @@ def test_expect_rejects_a_fractional_dimension(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_expect_rejects_a_string_edge_mass(tmp_path, capsys):
+    assert main(["expect", "--graph", write(tmp_path / "g.json", two_node_graph("0.5", [1.0]))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: edge s->t: 'p' must be a number, got '0.5'\n"
+    assert captured.out == ""
+
+
 def test_expect_json_option_is_gone(tmp_path):
     path = write(tmp_path / "g.json", two_node_graph(1.0, [1.0]))
     with pytest.raises(SystemExit) as err:

@@ -13,10 +13,8 @@ from semiringlab import (
     is_almost_clean,
     is_clean,
     is_domainlike,
-    is_domainlike_mod,
     is_local,
     is_presimplifiable,
-    is_presimplifiable_mod,
     is_semifield,
     is_strongly_associate,
     is_weakly_clean,
@@ -26,7 +24,6 @@ from semiringlab import (
     trivial_module,
     units,
     zero_divisors,
-    zero_divisors_mod,
     zmod_quotient_module,
 )
 
@@ -47,9 +44,9 @@ def test_idempotent_and_nilpotent_sets():
 def test_zero_divisor_sets():
     assert zero_divisors(builtin("zmod_4").structure).indices() == (0, 2)
     assert zero_divisors(builtin("boolean").structure).indices() == (0,)
-    assert zero_divisors_mod(zmod_quotient_module(4, 2)).indices() == (0, 2)
+    assert zero_divisors(zmod_quotient_module(4, 2)).indices() == (0, 2)
     with pytest.raises(EmptyModule):
-        zero_divisors_mod(trivial_module(builtin("boolean").structure))
+        zero_divisors(trivial_module(builtin("boolean").structure))
 
 
 def test_semifield_probe():
@@ -86,7 +83,7 @@ def test_presimplifiable_examples():
     product = build_expectation(b, self_module(b)).product
     # witness (1,1) * (0,1) = (0,1) with (1,1) not a unit
     assert not is_presimplifiable(product)
-    assert is_presimplifiable_mod(self_module(builtin("zmod_4").structure))
+    assert is_presimplifiable(self_module(builtin("zmod_4").structure))
 
 
 def test_associate_relations():
@@ -102,7 +99,7 @@ def test_domainlike_examples():
     assert is_domainlike(builtin("zmod_4").structure)
     assert is_domainlike(builtin("boolean").structure)
     assert not is_domainlike(builtin("zmod_6").structure)
-    assert is_domainlike_mod(self_module(builtin("zmod_4").structure))
+    assert is_domainlike(self_module(builtin("zmod_4").structure))
 
 
 def test_clean_examples():

@@ -232,7 +232,8 @@ def test_out_of_carrier_members_are_rejected(members):
 def test_predicates_reject_improper_ideals():
     z4 = builtin("zmod_4").structure
     whole = Ideal(z4, frozenset(range(4)))
-    for predicate in (is_prime, is_primary, is_weakly_prime, is_maximal):
+    ideals = enumerate_ideals(z4)
+    for predicate in (is_prime, is_primary, is_weakly_prime, lambda i: is_maximal(i, ideals)):
         with pytest.raises(NotProper):
             predicate(whole)
 

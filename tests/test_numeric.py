@@ -483,6 +483,35 @@ def test_malformed_dimension_or_node_list_rejected(field, value, message):
         graph_from_dict(dict(data, **{field: value}))
 
 
+@pytest.mark.parametrize(
+    "p, v, message",
+    [
+        ("0.5", [0.5], "edge s->t: 'p' must be a number, got '0.5'"),
+        (True, [0.5], "edge s->t: 'p' must be a number, got True"),
+        (None, [0.5], "edge s->t: 'p' must be a number, got None"),
+        (1.0, "12", "edge s->t: 'v' must be a list of numbers, got '12'"),
+        (1.0, [True, False], "edge s->t: 'v' must be a list of numbers, got [True, False]"),
+        (1.0, ["1", "2"], "edge s->t: 'v' must be a list of numbers, got ['1', '2']"),
+        (1.0, {"x": 1.0}, "edge s->t: 'v' must be a list of numbers, got {'x': 1.0}"),
+        (10**400, [0.5], "malformed graph data: int too large to convert to float"),
+    ],
+    ids=["p-string", "p-bool", "p-null", "v-string", "v-bools", "v-strings", "v-object", "p-huge-int"],
+)
+def test_non_number_edge_data_rejected(p, v, message):
+    data = {"d": 2, "nodes": ["s", "t"], "source": "s", "sink": "t",
+            "edges": [{"from": "s", "to": "t", "p": p, "v": v}]}
+    with pytest.raises(InvalidGraph, match=re.escape(message)):
+        graph_from_dict(data)
+
+
+def test_integer_edge_data_loads_as_floats():
+    data = {"d": 2, "nodes": ["s", "t"], "source": "s", "sink": "t",
+            "edges": [{"from": "s", "to": "t", "p": 1, "v": [2, 0.5]}]}
+    (edge,) = graph_from_dict(data).edges
+    assert (edge.p, edge.v) == (1.0, (2.0, 0.5))
+    assert type(edge.p) is float and all(type(x) is float for x in edge.v)
+
+
 def test_prelifted_weights_rejected():
     with pytest.raises(InvalidGraph):
         WeightedDag(

@@ -1,7 +1,8 @@
 """Ideal and element predicates against literal quantifier definitions.
 
 Every semiring, module and product of the default order-3 grid is scanned,
-with each of its ideals and subsemimodules.  The oracles below read the
+with each of its ideals and subsemimodules; the element predicates that take
+a semiring or a module are checked on both.  The oracles below read the
 definitions word for word: all powers of an element are listed until one
 repeats, and nothing is shared with the library's scans.
 """
@@ -9,6 +10,7 @@ repeats, and nothing is shared with the library's scans.
 import pytest
 
 from semiringlab import (
+    EmptyModule,
     NotAnIdeal,
     almost_clean_by_parts,
     box_ideal,
@@ -19,9 +21,11 @@ from semiringlab import (
     is_almost_clean,
     is_clean,
     is_domainlike,
+    is_presimplifiable,
     is_primary,
     is_primary_submodule,
     is_prime,
+    is_strongly_associate,
     is_weakly_clean,
     is_weakly_prime,
     nilpotents,
@@ -64,6 +68,30 @@ def module_zero_divisors_of(module):
 
 def nilpotents_of(semiring):
     return {a for a in semiring.elements() if semiring.zero in powers(semiring, a)}
+
+
+def scalar_view(structure):
+    """(scalars, carrier, action, zero): a semiring acts on itself by multiplication."""
+    if hasattr(structure, "base"):
+        return structure.base, structure.elements(), structure.act, structure.zero
+    return structure, structure.elements(), structure.mul, structure.zero
+
+
+def presimplifiable_oracle(structure):
+    """sx = x forces s to be a unit or x = 0."""
+    scalars, carrier, act, zero = scalar_view(structure)
+    u = units_of(scalars)
+    return all(s in u or x == zero for s in scalars.elements() for x in carrier if act(s, x) == x)
+
+
+def strongly_associate_oracle(structure):
+    """Equal cyclic submodules Sx = Sy force x = uy for some unit u."""
+    scalars, carrier, act, _zero = scalar_view(structure)
+    u = units_of(scalars)
+    cyclic = {x: {act(s, x) for s in scalars.elements()} for x in carrier}
+    return all(
+        any(act(v, y) == x for v in u) for x in carrier for y in carrier if cyclic[x] == cyclic[y]
+    )
 
 
 def sum_of(semiring, a, lefts, rights):
@@ -142,6 +170,8 @@ def check_semiring(semiring):
     assert zero_divisors(semiring).members == zero_divisors_of(semiring), name
     assert nilpotents(semiring).members == nilpotents_of(semiring), name
     assert is_domainlike(semiring) == (zero_divisors_of(semiring) <= nilpotents_of(semiring)), name
+    assert is_presimplifiable(semiring) == presimplifiable_oracle(semiring), name
+    assert is_strongly_associate(semiring) == strongly_associate_oracle(semiring), name
     expected = clean_oracles(semiring)
     got = {
         "clean": is_clean(semiring),
@@ -163,6 +193,17 @@ def check_semiring(semiring):
 
 
 def check_module(module):
+    names = (module.base.name, module.name)
+    assert is_presimplifiable(module) == presimplifiable_oracle(module), names
+    assert is_strongly_associate(module) == strongly_associate_oracle(module), names
+    if module.size == 1:
+        for predicate in (zero_divisors, is_domainlike):
+            with pytest.raises(EmptyModule):
+                predicate(module)
+    else:
+        z = module_zero_divisors_of(module)
+        assert zero_divisors(module).members == z, names
+        assert is_domainlike(module) == (z <= nilpotents_of(module.base)), names
     submodules = enumerate_subsemimodules(module)
     for n in submodules:
         where = (module.base.name, module.name, sorted(n.members))

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from semiringlab import builtin, run_pair, run_suite, self_module, weakly_prime_forward_probe
+from semiringlab import builtin, run_pair, run_suite, self_module, theorems, weakly_prime_forward_probe
 from semiringlab.tables import FiniteSemimodule
 from semiringlab.theorems import CHECKS, FAIL, NA, GridCell, PairContext, check_product_is_semiring, default_grid
 
@@ -29,6 +29,23 @@ def test_zmod4_pair_statuses():
     assert by_id["Prop-3.5"].status == NA
     assert by_id["Prop-3.1"].status == "pass"
     assert by_id["Thm-3.3-1"].status == "pass"
+
+
+def test_section3_flags_are_derived_once_per_structure(monkeypatch):
+    # Thm-3.7, Prop-3.9 and Prop-3.10 read the scalar, module and product
+    # flags from the cell context, so each predicate runs once per structure.
+    calls = {"is_presimplifiable": 0, "is_strongly_associate": 0}
+    for name in calls:
+
+        def counted(structure, _name=name, _original=getattr(theorems, name)):
+            calls[_name] += 1
+            return _original(structure)
+
+        monkeypatch.setattr(theorems, name, counted)
+    z4 = builtin("zmod_4").structure
+    records, _census = run_pair("E(zmod_4, zmod_4)", z4, self_module(z4))
+    assert all(r.status != FAIL for r in records)
+    assert calls == {"is_presimplifiable": 3, "is_strongly_associate": 3}
 
 
 def test_suite_report_shape_and_uniqueness():
