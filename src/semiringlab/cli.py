@@ -45,6 +45,10 @@ class NotAnObject(ValueError):
     """An input file whose top-level JSON value is not an object."""
 
 
+class BadPairing(ValueError):
+    """A ``pairing`` block that is not one [scalar, vector] integer pair per element."""
+
+
 class OutputNotEmpty(ValueError):
     """An output directory that already holds files, which a run would mix with its own."""
 
@@ -90,7 +94,15 @@ def cmd_validate(args) -> int:
                 violations = semimodule_violations(base, data)
             else:
                 violations = semiring_violations(data)
-        except (SizeMismatch, BaseMismatch, InvalidStructure) as exc:
+        except (
+            SizeMismatch,
+            BaseMismatch,
+            InvalidStructure,
+            catalog.UnknownName,
+            NotAnObject,
+            json.JSONDecodeError,
+            OSError,
+        ) as exc:  # a malformed table, or a base that names no builtin or cannot be read
             print(f"{path}: ERROR {exc}")
             results.append({"path": path, "kind": kind, "valid": False, "error": str(exc)})
             status = 1
@@ -137,10 +149,21 @@ def _member_labels(members, pairing):
     return [list(pairing[k]) for k in sorted(members)]
 
 
+def _pairing(data: dict, size: int):
+    """The optional ``pairing`` block: one [scalar, vector] index pair per element."""
+    pairing = data.get("pairing")
+    if pairing is None:
+        return None
+    is_pair = lambda p: isinstance(p, list) and len(p) == 2 and all(type(k) is int for k in p)
+    if not (isinstance(pairing, list) and len(pairing) == size and all(map(is_pair, pairing))):
+        raise BadPairing(f"pairing must be a list of {size} [scalar, vector] integer pairs")
+    return pairing
+
+
 def cmd_ideals(args) -> int:
     data = _load_json(args.instance)
     semiring = validate_semiring(data)
-    pairing = data.get("pairing")
+    pairing = _pairing(data, semiring.size)
     ideals = enumerate_ideals(semiring)
     rows = []
     for ideal in ideals:

@@ -21,12 +21,8 @@ class EmptyModule(ValueError):
 
 def units(semiring: FiniteSemiring) -> Subset:
     """Elements with a multiplicative inverse."""
-    members = frozenset(
-        a
-        for a in semiring.elements()
-        if any(semiring.mul(a, b) == semiring.one for b in semiring.elements())
-    )
-    return Subset(semiring, members)
+    one = semiring.one
+    return Subset(semiring, frozenset(a for a, row in enumerate(semiring.mul_table) if one in row))
 
 
 def idempotents(semiring: FiniteSemiring) -> Subset:

@@ -176,11 +176,11 @@ def enumerate_subsemimodules(module: FiniteSemimodule) -> list[Subsemimodule]:
 
 def is_subtractive(subset: Ideal | Subsemimodule) -> bool:
     """True iff x in N and x + y in N force y in N."""
-    parent = subset.parent
     members = subset.members
+    add_table = subset.parent.add_table
     for x in members:
-        for y in parent.elements():
-            if parent.add(x, y) in members and y not in members:
+        for y, total in enumerate(add_table[x]):
+            if total in members and y not in members:
                 return False
     return True
 
@@ -335,11 +335,9 @@ def ideal_projections(instance: ExpectationInstance, ideal: Ideal) -> tuple[Idea
     )
 
 
-def is_weak_gaussian(semiring: FiniteSemiring, all_ideals: Sequence[Ideal] | None = None) -> bool:
+def is_weak_gaussian(semiring: FiniteSemiring) -> bool:
     """True iff every prime ideal is subtractive."""
-    if all_ideals is None:
-        all_ideals = enumerate_ideals(semiring)
-    for ideal in all_ideals:
+    for ideal in enumerate_ideals(semiring):
         if ideal.is_proper() and is_prime(ideal) and not is_subtractive(ideal):
             return False
     return True

@@ -55,30 +55,32 @@ from .ideals import (
     box_ideal,
     enumerate_ideals,
     enumerate_subsemimodules,
-    ideal_projections,
     ideal_violation,
     is_maximal,
     is_primary,
     is_primary_submodule,
     is_prime,
     is_subtractive,
-    is_weak_gaussian,
     is_weakly_prime,
     radical,
+    residual,
     residual_members,
-    submodule_radical,
 )
 from .numeric import oracle_disagreements, weight_law_failures
 from .tables import (
     FiniteSemimodule,
     FiniteSemiring,
     InvalidStructure,
+    Subset,
     v_set,
 )
 
 PASS = "pass"
 FAIL = "fail"
 NA = "not-applicable"
+
+# The cell context attribute holding the enumeration of each carrier role.
+_ENUMERATED = {"scalar": "ideals_s", "module": "submods_m", "product": "ideals_e"}
 
 
 @dataclass
@@ -101,12 +103,21 @@ class CheckRecord:
 
 @dataclass
 class PairContext:
-    """One grid cell: the factors, the built product, and cached derived data."""
+    """One grid cell: the factors, the built product, and every fact the checks derive.
+
+    The context is the cell's derived-data layer.  ``ideal`` and
+    ``submodule`` return the enumerated object with a given member set, and
+    ``once(derive, subset)`` memoises an ideal-layer function of ``ideals.py``
+    (``is_prime``, ``radical``, ``residual``, ...) per (function, carrier,
+    member set), so each fact is derived once per cell.  The memo lives and
+    dies with the context; nothing is shared between cells.
+    """
 
     label: str
     semiring: FiniteSemiring
     module: FiniteSemimodule
     census: list[str] = field(default_factory=list)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def instance(self) -> ExpectationInstance:
@@ -138,24 +149,58 @@ class PairContext:
     def ideals_e(self) -> list[Ideal]:
         return enumerate_ideals(self.product)
 
+    def once(self, derive, subset: Subset):
+        """``derive(subset)``, computed on the first request in this cell.
+
+        The key is (derive, carrier, member set), with the carrier told apart
+        by identity, so each ideal-layer fact is derived once per cell.
+        """
+        key = (derive, id(subset.parent), subset.members)
+        memo = self._memo
+        if key not in memo:
+            memo[key] = derive(subset)
+        return memo[key]
+
+    def _listed(self, role: str, members: frozenset[int]) -> Subset | None:
+        """The enumerated ideal or subsemimodule of ``role`` with these members, if any."""
+        index = self._memo.get(role)
+        if index is None:
+            index = self._memo[role] = {subset.members: subset for subset in getattr(self, _ENUMERATED[role])}
+        return index.get(members)
+
+    def ideal(self, role: str, members: frozenset[int]) -> Ideal:
+        """The ideal with these members of the scalars (``"scalar"``) or the product (``"product"``).
+
+        It is read from the enumeration; only a set missing there goes
+        through the validating constructor, which raises NotAnIdeal with
+        its witness.
+        """
+        found = self._listed(role, members)
+        return Ideal(self.semiring if role == "scalar" else self.product, members) if found is None else found
+
+    def submodule(self, members: frozenset[int]) -> Subsemimodule:
+        """The subsemimodule with these members, read from the enumeration as ``ideal`` is."""
+        found = self._listed("module", members)
+        return Subsemimodule(self.module, members) if found is None else found
+
     @cached_property
     def primes_s(self) -> list[Ideal]:
-        return [i for i in self.ideals_s if i.is_proper() and is_prime(i)]
+        return [i for i in self.ideals_s if i.is_proper() and self.once(is_prime, i)]
 
     @cached_property
     def primes_e(self) -> list[Ideal]:
-        return [i for i in self.ideals_e if i.is_proper() and is_prime(i)]
+        return [i for i in self.ideals_e if i.is_proper() and self.once(is_prime, i)]
 
     @cached_property
     def full_module(self) -> Subsemimodule:
-        return Subsemimodule(self.module, frozenset(self.module.elements()))
+        return self.submodule(frozenset(self.module.elements()))
 
     @cached_property
     def boxables(self) -> list[tuple[Ideal, Subsemimodule, Ideal]]:
         """(I, N, I box N) for every pair where the box is a legal ideal: I inside (N : M)."""
         residuals = [residual_members(self.module, n.members) for n in self.submods_m]
         return [
-            (i, n, Ideal(self.product, box_members(self.instance, i.members, n.members)))
+            (i, n, self.ideal("product", box_members(self.instance, i.members, n.members)))
             for i in self.ideals_s
             for n, carriers in zip(self.submods_m, residuals)
             if i.members <= carriers
@@ -344,8 +389,8 @@ def check_box_ideal_iff(ctx: PairContext):
 
 def check_box_radical(ctx: PairContext):
     for i, _n, box in ctx.boxables:
-        expected = box_members(ctx.instance, radical(i).members, ctx.full_module.members)
-        got = radical(box).members
+        expected = box_members(ctx.instance, ctx.once(radical, i).members, ctx.full_module.members)
+        got = ctx.once(radical, box).members
         if got != expected:
             return FAIL, {
                 "ideal": sorted(i.members),
@@ -357,11 +402,12 @@ def check_box_radical(ctx: PairContext):
 
 def check_projections(ctx: PairContext):
     for j in ctx.ideals_e:
+        scalar, vector = projections(ctx.instance, j.members)
         try:
-            i, n = ideal_projections(ctx.instance, j)
+            i, n = ctx.ideal("scalar", scalar), ctx.submodule(vector)
         except (NotAnIdeal, NotASubmodule) as exc:
             return FAIL, {"reason": str(exc), "ideal": ctx.pairs_of(j.members)}
-        if not i.members <= residual_members(ctx.module, n.members):
+        if not i.members <= ctx.once(residual, n).members:
             return FAIL, {"reason": "projection violates containment", "ideal": ctx.pairs_of(j.members)}
         if not j.members <= box_members(ctx.instance, i.members, n.members):
             return FAIL, {"reason": "ideal escapes its projection box"}
@@ -370,7 +416,7 @@ def check_projections(ctx: PairContext):
 
 def check_subtractive_over_slice(ctx: PairContext):
     for j in ctx.ideals_e:
-        if not (is_subtractive(j) and ctx.t1_set <= j.members):
+        if not (ctx.once(is_subtractive, j) and ctx.t1_set <= j.members):
             continue
         if _full_module_box_scalars(ctx, j.members) is None:
             return FAIL, {"ideal": ctx.pairs_of(j.members)}
@@ -386,46 +432,47 @@ def check_primes_contain_slice(ctx: PairContext):
 
 def check_subtractive_primes_are_boxes(ctx: PairContext):
     for p in ctx.primes_e:
-        if not is_subtractive(p):
+        if not ctx.once(is_subtractive, p):
             continue
         scalar = _full_module_box_scalars(ctx, p.members)
         if scalar is None:
             return FAIL, {"prime": ctx.pairs_of(p.members)}
-        base = Ideal(ctx.semiring, scalar)
-        if not (base.is_proper() and is_prime(base) and is_subtractive(base)):
+        base = ctx.ideal("scalar", scalar)
+        if not (base.is_proper() and ctx.once(is_prime, base) and ctx.once(is_subtractive, base)):
             return FAIL, {"scalar_part": sorted(scalar)}
     return PASS, None
 
 
 def check_subtractive_transfer(ctx: PairContext):
-    boxes_subtractive = all(is_subtractive(box) for _i, _n, box in ctx.boxables)
-    factors_subtractive = all(is_subtractive(i) for i in ctx.ideals_s) and all(
-        is_subtractive(n) for n in ctx.submods_m
+    boxes_subtractive = all(ctx.once(is_subtractive, box) for _i, _n, box in ctx.boxables)
+    factors_subtractive = all(ctx.once(is_subtractive, i) for i in ctx.ideals_s) and all(
+        ctx.once(is_subtractive, n) for n in ctx.submods_m
     )
     if boxes_subtractive != factors_subtractive:
         return FAIL, {"boxes": boxes_subtractive, "factors": factors_subtractive}
-    if all(is_subtractive(j) for j in ctx.ideals_e) and not factors_subtractive:
+    if all(ctx.once(is_subtractive, j) for j in ctx.ideals_e) and not factors_subtractive:
         return FAIL, {"reason": "subtractive product with non-subtractive factor"}
     return PASS, None
 
 
 def check_weak_gaussian_shapes(ctx: PairContext):
-    if not is_weak_gaussian(ctx.product, ctx.ideals_e):
+    # ideals.is_weak_gaussian on the product, read from the cell's primes and memo
+    if not all(ctx.once(is_subtractive, p) for p in ctx.primes_e):
         return NA, None
     for p in ctx.primes_e:
         scalar = _full_module_box_scalars(ctx, p.members)
         if scalar is None:
             return FAIL, {"prime": ctx.pairs_of(p.members)}
-        base = Ideal(ctx.semiring, scalar)
-        if not (is_prime(base) and is_subtractive(base)):
+        base = ctx.ideal("scalar", scalar)
+        if not (ctx.once(is_prime, base) and ctx.once(is_subtractive, base)):
             return FAIL, {"scalar_part": sorted(scalar)}
     maximals = [j for j in ctx.ideals_e if j.is_proper() and is_maximal(j, ctx.ideals_e)]
     for j in maximals:
         scalar = _full_module_box_scalars(ctx, j.members)
         if scalar is None:
             return FAIL, {"maximal": ctx.pairs_of(j.members)}
-        base = Ideal(ctx.semiring, scalar)
-        if not (is_maximal(base, ctx.ideals_s) and is_subtractive(base)):
+        base = ctx.ideal("scalar", scalar)
+        if not (is_maximal(base, ctx.ideals_s) and ctx.once(is_subtractive, base)):
             return FAIL, {"scalar_part": sorted(scalar)}
     return PASS, None
 
@@ -434,9 +481,9 @@ def check_weakly_prime_lift(ctx: PairContext):
     if _annihilator_condition_violations(ctx.semiring, ctx.module):
         return PASS, None
     for i in ctx.ideals_s:
-        if not i.is_proper() or not is_weakly_prime(i):
+        if not i.is_proper() or not ctx.once(is_weakly_prime, i):
             continue
-        if not is_weakly_prime(ctx.full_module_boxes[i.members]):
+        if not ctx.once(is_weakly_prime, ctx.full_module_boxes[i.members]):
             return FAIL, {"ideal": sorted(i.members)}
     return PASS, None
 
@@ -444,11 +491,11 @@ def check_weakly_prime_lift(ctx: PairContext):
 def check_residual_and_primary_radical(ctx: PairContext):
     for n in ctx.submods_m:
         try:
-            residual_ideal = submodule_radical(n)
+            residual_ideal = ctx.once(radical, ctx.once(residual, n))
         except NotAnIdeal as exc:
             return FAIL, {"submodule": sorted(n.members), "reason": str(exc)}
-        if n.is_proper() and is_primary_submodule(n):
-            if not (residual_ideal.is_proper() and is_prime(residual_ideal)):
+        if n.is_proper() and ctx.once(is_primary_submodule, n):
+            if not (residual_ideal.is_proper() and ctx.once(is_prime, residual_ideal)):
                 return FAIL, {"submodule": sorted(n.members), "radical": sorted(residual_ideal.members)}
     return PASS, None
 
@@ -457,30 +504,31 @@ def check_primary_box_iff(ctx: PairContext):
     for i in ctx.ideals_s:
         if not i.is_proper():
             continue
-        if is_primary(i) != is_primary(ctx.full_module_boxes[i.members]):
+        if ctx.once(is_primary, i) != ctx.once(is_primary, ctx.full_module_boxes[i.members]):
             return FAIL, {"ideal": sorted(i.members)}
     return PASS, None
 
 
 def check_primary_box_consequences(ctx: PairContext):
     for i, n, box in ctx.boxables:
-        if not n.is_proper() or not is_primary(box):
+        if not n.is_proper() or not ctx.once(is_primary, box):
             continue
-        if not is_primary_submodule(n):
+        if not ctx.once(is_primary_submodule, n):
             return FAIL, {"submodule": sorted(n.members)}
-        if radical(i).members != submodule_radical(n).members:
+        if ctx.once(radical, i).members != ctx.once(radical, ctx.once(residual, n)).members:
             return FAIL, {"ideal": sorted(i.members), "submodule": sorted(n.members)}
     return PASS, None
 
 
 def check_primary_box_with_subtractive_module(ctx: PairContext):
-    if not all(is_subtractive(n) for n in ctx.submods_m):
+    if not all(ctx.once(is_subtractive, n) for n in ctx.submods_m):
         return NA, None
     for i, n, box in ctx.boxables:
         if not n.is_proper():
             continue
-        expected = is_primary_submodule(n) and radical(i).members == submodule_radical(n).members
-        if is_primary(box) != expected:
+        radicals_agree = ctx.once(radical, i).members == ctx.once(radical, ctx.once(residual, n)).members
+        expected = ctx.once(is_primary_submodule, n) and radicals_agree
+        if ctx.once(is_primary, box) != expected:
             return FAIL, {"ideal": sorted(i.members), "submodule": sorted(n.members)}
     return PASS, None
 

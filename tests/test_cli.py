@@ -67,6 +67,31 @@ def test_expectation_build_and_ideals(capsys, tmp_path, z4_file, module_file):
     assert any(row["prime"] for row in rows if row["proper"])
 
 
+@pytest.mark.parametrize("pairing", [[[0, 0]], [0, 1], 5], ids=["one-pair-for-two-elements", "flat-list", "number"])
+def test_ideals_rejects_a_malformed_pairing(capsys, tmp_path, pairing):
+    data = semiring_to_dict(builtin("boolean").structure)
+    data["pairing"] = pairing
+    path = write(tmp_path / "paired.json", data)
+    assert main(["ideals", "--instance", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pairing must be a list of 2 ")
+
+
+@pytest.mark.parametrize("base", ["no_such_builtin", "missing.json"])
+def test_validate_reports_a_bad_module_base_and_goes_on(capsys, tmp_path, z4_file, base):
+    data = semimodule_to_dict(zmod_quotient_module(4, 2), include_base=False)
+    data["base"] = base
+    bad = write(tmp_path / "bad_base.json", data)
+    report = tmp_path / "report.json"
+    assert main(["validate", bad, z4_file, "--json", str(report)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{bad}: ERROR ") and base in lines[0]
+    assert lines[1] == f"{z4_file}: valid semiring"
+    results = json.loads(report.read_text())["results"]
+    assert [r["valid"] for r in results] == [False, True]
+    assert base in results[0]["error"]
+
+
 def test_ideals_refuses_a_carrier_past_the_bound(capsys, tmp_path):
     path = write(tmp_path / "chain.json", semiring_to_dict(builtin("chain_64").structure))
     assert main(["ideals", "--instance", path]) == 1

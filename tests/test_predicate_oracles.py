@@ -4,7 +4,9 @@ Every semiring, module and product of the default order-3 grid is scanned,
 with each of its ideals and subsemimodules; the element predicates that take
 a semiring or a module are checked on both.  The oracles below read the
 definitions word for word: all powers of an element are listed until one
-repeats, and nothing is shared with the library's scans.
+repeats, and nothing is shared with the library's scans.  On every
+carrier of at most ``WITNESS_CARRIER`` elements the first witness of the
+ideal and subsemimodule closure tests is compared on every subset.
 """
 
 import pytest
@@ -26,12 +28,18 @@ from semiringlab import (
     is_primary_submodule,
     is_prime,
     is_strongly_associate,
+    is_subtractive,
     is_weakly_clean,
     is_weakly_prime,
     nilpotents,
+    radical,
     residual,
+    units,
     zero_divisors,
 )
+from semiringlab.ideals import ideal_violation, submodule_violation
+
+WITNESS_CARRIER = 9
 
 
 def powers(semiring, b):
@@ -64,6 +72,52 @@ def module_zero_divisors_of(module):
         s for s in module.base.elements()
         if any(x != module.zero and module.act(s, x) == module.zero for x in module.elements())
     }
+
+
+def radical_of(semiring, members):
+    return {s for s in semiring.elements() if powers(semiring, s) & members}
+
+
+def subtractive_oracle(structure, members):
+    """x in N and x + y in N force y in N."""
+    return all(
+        y in members for x in members for y in structure.elements() if structure.add(x, y) in members
+    )
+
+
+def violation_oracle(structure, members):
+    """First failure of ideal (semiring) or subsemimodule (module) closure.
+
+    Empty set first, then the first sum a + b outside the set, then the
+    first product s*a outside it with s ascending; members are taken in
+    the set's own iteration order, as the library's scan documents.
+    """
+    scalars, _carrier, act, _zero = scalar_view(structure)
+    if not members:
+        return ("empty", ())
+    for a in members:
+        for b in members:
+            if structure.add(a, b) not in members:
+                return ("add", (a, b))
+    for s in scalars.elements():
+        for a in members:
+            if act(s, a) not in members:
+                return ("act" if hasattr(structure, "base") else "absorb", (s, a))
+    return None
+
+
+def check_witnesses(structure):
+    """Closure verdicts and first witnesses on every subset of a small carrier."""
+    size = structure.size
+    if size > WITNESS_CARRIER:
+        return
+    violation = submodule_violation if hasattr(structure, "base") else ideal_violation
+    for mask in range(1 << size):
+        members = frozenset(i for i in range(size) if mask >> i & 1)
+        assert violation(structure, members) == violation_oracle(structure, members), (
+            structure.name,
+            sorted(members),
+        )
 
 
 def nilpotents_of(semiring):
@@ -167,6 +221,7 @@ def box_oracle(instance, ideal_members, submodule_members):
 
 def check_semiring(semiring):
     name = semiring.name
+    assert units(semiring).members == units_of(semiring), name
     assert zero_divisors(semiring).members == zero_divisors_of(semiring), name
     assert nilpotents(semiring).members == nilpotents_of(semiring), name
     assert is_domainlike(semiring) == (zero_divisors_of(semiring) <= nilpotents_of(semiring)), name
@@ -180,12 +235,15 @@ def check_semiring(semiring):
         "weakly_clean_literal": is_weakly_clean(semiring, literal=True),
     }
     assert got == expected, name
+    check_witnesses(semiring)
     ideals = enumerate_ideals(semiring)
     for ideal in ideals:
-        if not ideal.is_proper():
-            continue
         members = ideal.members
         where = (name, sorted(members))
+        assert radical(ideal).members == radical_of(semiring, members), where
+        assert is_subtractive(ideal) == subtractive_oracle(semiring, members), where
+        if not ideal.is_proper():
+            continue
         assert is_prime(ideal) == prime_oracle(semiring, members), where
         assert is_weakly_prime(ideal) == prime_oracle(semiring, members, weakly=True), where
         assert is_primary(ideal) == primary_oracle(semiring, members), where
@@ -204,10 +262,12 @@ def check_module(module):
         z = module_zero_divisors_of(module)
         assert zero_divisors(module).members == z, names
         assert is_domainlike(module) == (z <= nilpotents_of(module.base)), names
+    check_witnesses(module)
     submodules = enumerate_subsemimodules(module)
     for n in submodules:
         where = (module.base.name, module.name, sorted(n.members))
         assert residual(n).members == residual_oracle(module, n.members), where
+        assert is_subtractive(n) == subtractive_oracle(module, n.members), where
         if n.is_proper():
             assert is_primary_submodule(n) == primary_submodule_oracle(module, n.members), where
     return submodules

@@ -1,10 +1,12 @@
 import multiprocessing
 import os
+from collections import Counter
 
 import pytest
 
-from semiringlab import builtin, run_pair, run_suite, self_module, theorems, weakly_prime_forward_probe
-from semiringlab.tables import FiniteSemimodule
+from semiringlab import builtin, catalog, ideals, run_pair, run_suite, self_module, theorems, weakly_prime_forward_probe
+from semiringlab.ideals import Ideal, NotAnIdeal
+from semiringlab.tables import FiniteSemimodule, same_semiring
 from semiringlab.theorems import CHECKS, FAIL, NA, GridCell, PairContext, check_product_is_semiring, default_grid
 
 
@@ -46,6 +48,56 @@ def test_section3_flags_are_derived_once_per_structure(monkeypatch):
     records, _census = run_pair("E(zmod_4, zmod_4)", z4, self_module(z4))
     assert all(r.status != FAIL for r in records)
     assert calls == {"is_presimplifiable": 3, "is_strongly_associate": 3}
+
+
+def test_ideal_layer_facts_are_derived_once_per_cell(monkeypatch):
+    # The cell context memoises the ideal-layer predicates by carrier role
+    # and member set, so each runs at most once per distinct argument.
+    semiring = catalog.enumerate_semirings(3)[0].structure
+    module = catalog.enumerate_semimodules(semiring, 3)[0].structure
+    assert len(ideals.enumerate_ideals(semiring)) == 3
+    assert len(ideals.enumerate_subsemimodules(module)) == 4
+
+    def role(carrier):
+        if isinstance(carrier, FiniteSemimodule):
+            return "module"
+        return "scalar" if same_semiring(carrier, semiring) else "product"
+
+    calls = Counter()
+    for name in ("is_prime", "radical", "is_primary", "is_subtractive"):
+        original = getattr(ideals, name)
+
+        def counted(subset, _name=name, _original=original):
+            calls[_name, role(subset.parent), subset.members] += 1
+            return _original(subset)
+
+        for owner in (ideals, theorems):
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, counted)
+    records, _census = run_pair("E(S3.00, M3.00)", semiring, module)
+    assert all(r.status != FAIL for r in records)
+    assert {name for name, _role, _members in calls} == {"is_prime", "radical", "is_primary", "is_subtractive"}
+    assert {key: n for key, n in calls.items() if n > 1} == {}
+
+
+def test_context_ideal_reads_the_enumeration_and_validates_the_rest():
+    z4 = builtin("zmod_4").structure
+    ctx = PairContext(label="E(zmod_4, zmod_4)", semiring=z4, module=self_module(z4))
+    evens = frozenset({0, 2})
+    assert ctx.ideal("scalar", evens) is next(i for i in ctx.ideals_s if i.members == evens)
+    box = ctx.boxables[-1][2]
+    assert ctx.ideal("product", box.members) is next(j for j in ctx.ideals_e if j.members == box.members)
+    # a set outside the enumeration fails exactly as the validating constructor does:
+    # {0, 1} is not closed under addition, and the scalar copy {(s, 0)} is closed
+    # under addition but does not absorb the product
+    scalar_copy = frozenset(ctx.instance.index_of(s, 0) for s in z4.elements())
+    for role, carrier, members in (("scalar", z4, frozenset({0, 1})), ("product", ctx.product, scalar_copy)):
+        with pytest.raises(NotAnIdeal) as err:
+            ctx.ideal(role, members)
+        with pytest.raises(NotAnIdeal) as direct:
+            Ideal(carrier, members)
+        assert err.value.witness == direct.value.witness != ()
+        assert str(err.value) == str(direct.value)
 
 
 def test_suite_report_shape_and_uniqueness():
