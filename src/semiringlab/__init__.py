@@ -32,28 +32,9 @@ from .construct import (
     zero_scalar_slice,
 )
 from .elements import (
-    ClassReport,
+    Census,
     EmptyModule,
-    additive_idempotents,
-    additively_regular_elements,
-    almost_clean_by_parts,
-    associates,
     classify,
-    cyclic_submodule,
-    idempotents,
-    is_additively_regular,
-    is_almost_clean,
-    is_clean,
-    is_domainlike,
-    is_local,
-    is_presimplifiable,
-    is_semifield,
-    is_strongly_associate,
-    is_weakly_clean,
-    nilpotents,
-    strong_associates,
-    units,
-    zero_divisors,
 )
 from .ideals import (
     CarrierTooLarge,

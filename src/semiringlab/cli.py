@@ -206,8 +206,7 @@ def cmd_classify(args) -> int:
         target = build_expectation(semiring, module)
     else:
         target = semiring
-    report = classify(target)
-    payload = {"schema": f"{SCHEMA_PREFIX}/class-report/1", **report.to_dict()}
+    payload = {"schema": f"{SCHEMA_PREFIX}/class-report/1", **classify(target)}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:

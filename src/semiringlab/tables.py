@@ -266,12 +266,13 @@ def _scan_semiring(data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
         if mul[a][zero] != zero or mul[zero][a] != zero:
             violations.append(AxiomViolation("zero_annihilation", (a,)))
             break
-    w = first_nondistributive(add, mul)
-    if w:
-        violations.append(AxiomViolation("left_distributivity", w))
-    w = first_nondistributive(add, tuple(zip(*mul)))
-    if w:
-        violations.append(AxiomViolation("right_distributivity", w))
+    left = first_nondistributive(add, mul)
+    # a commutative multiplication is its own transpose, so right distributivity reads as left
+    symmetric = all(v.axiom != "mul_commutativity" for v in violations)
+    right = left if symmetric else first_nondistributive(add, tuple(zip(*mul)))
+    for law, w in (("left_distributivity", left), ("right_distributivity", right)):
+        if w:
+            violations.append(AxiomViolation(law, w))
     return add, mul, violations
 
 

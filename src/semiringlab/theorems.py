@@ -29,23 +29,7 @@ from .construct import (
     zero_m_ideal_nilpotency,
     zero_scalar_slice,
 )
-from .elements import (
-    additive_idempotents,
-    additively_regular_elements,
-    almost_clean_by_parts,
-    is_additively_regular,
-    is_almost_clean,
-    is_clean,
-    is_domainlike,
-    is_local,
-    is_presimplifiable,
-    is_semifield,
-    is_strongly_associate,
-    is_weakly_clean,
-    nilpotents,
-    units,
-    zero_divisors,
-)
+from .elements import Census
 from .ideals import (
     Ideal,
     NotAnIdeal,
@@ -67,13 +51,7 @@ from .ideals import (
     residual_members,
 )
 from .numeric import oracle_disagreements, weight_law_failures
-from .tables import (
-    FiniteSemimodule,
-    FiniteSemiring,
-    InvalidStructure,
-    Subset,
-    v_set,
-)
+from .tables import FiniteSemimodule, FiniteSemiring, InvalidStructure, Subset
 
 PASS = "pass"
 FAIL = "fail"
@@ -109,14 +87,17 @@ class PairContext:
     ``submodule`` return the enumerated object with a given member set, and
     ``once(derive, subset)`` memoises an ideal-layer function of ``ideals.py``
     (``is_prime``, ``radical``, ``residual``, ...) per (function, carrier,
-    member set), so each fact is derived once per cell.  The memo lives and
-    dies with the context; nothing is shared between cells.
+    member set), so each fact is derived once per cell.  The element sets
+    and class flags come from one ``Census`` per carrier role; the scalar
+    census is the module census's base.  The memo and the censuses live and
+    die with the context; nothing is shared between cells.
     """
 
     label: str
     semiring: FiniteSemiring
     module: FiniteSemimodule
-    census: list[str] = field(default_factory=list)
+    # labels of the structures found strongly associate but not presimplifiable
+    strongly_associate_only: list[str] = field(default_factory=list)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -213,12 +194,24 @@ class PairContext:
         return {i.members: box for i, n, box in self.boxables if n.members == full}
 
     @cached_property
+    def module_census(self) -> Census:
+        return Census(self.module)
+
+    @cached_property
+    def scalar_census(self) -> Census:
+        return self.module_census.base
+
+    @cached_property
+    def product_census(self) -> Census:
+        return Census(self.product)
+
+    @cached_property
     def units_s(self) -> frozenset[int]:
-        return units(self.semiring).members
+        return self.scalar_census.units.members
 
     @cached_property
     def vset_m(self) -> frozenset[int]:
-        return v_set(self.module).members
+        return self.module_census.v_set.members
 
     @cached_property
     def vset_full(self) -> bool:
@@ -230,42 +223,29 @@ class PairContext:
 
     @cached_property
     def z_s(self) -> frozenset[int]:
-        return zero_divisors(self.semiring).members
+        return self.scalar_census.zero_divisors.members
 
     @cached_property
     def z_m(self) -> frozenset[int]:
         if self.module.size == 1:
             return frozenset()
-        return zero_divisors(self.module).members
+        return self.module_census.zero_divisors.members
 
     @cached_property
     def nil_s(self) -> frozenset[int]:
-        return nilpotents(self.semiring).members
+        return self.scalar_census.nilpotents.members
 
     @cached_property
     def units_e(self) -> frozenset[int]:
-        return units(self.product).members
+        return self.product_census.units.members
 
     @cached_property
     def z_e(self) -> frozenset[int]:
-        return zero_divisors(self.product).members
+        return self.product_census.zero_divisors.members
 
     @cached_property
     def nil_e(self) -> frozenset[int]:
-        return nilpotents(self.product).members
-
-    def _by_role(self, predicate) -> dict[str, bool]:
-        """``predicate`` on the scalars, the module and the product, keyed by role."""
-        roles = {"scalar": self.semiring, "module": self.module, "product": self.product}
-        return {role: predicate(structure) for role, structure in roles.items()}
-
-    @cached_property
-    def presimplifiable(self) -> dict[str, bool]:
-        return self._by_role(is_presimplifiable)
-
-    @cached_property
-    def strongly_associate(self) -> dict[str, bool]:
-        return self._by_role(is_strongly_associate)
+        return self.product_census.nilpotents.members
 
 
 def _is_graded(ctx: PairContext, members: frozenset[int]) -> bool:
@@ -526,8 +506,10 @@ def check_primary_box_with_subtractive_module(ctx: PairContext):
     for i, n, box in ctx.boxables:
         if not n.is_proper():
             continue
+        # A primary box forces I primary, by (a, 0)(b, 0) = (ab, 0); I is
+        # proper because a legal box with N proper keeps 1 out of (N : M).
         radicals_agree = ctx.once(radical, i).members == ctx.once(radical, ctx.once(residual, n)).members
-        expected = ctx.once(is_primary_submodule, n) and radicals_agree
+        expected = ctx.once(is_primary, i) and ctx.once(is_primary_submodule, n) and radicals_agree
         if ctx.once(is_primary, box) != expected:
             return FAIL, {"ideal": sorted(i.members), "submodule": sorted(n.members)}
     return PASS, None
@@ -557,10 +539,10 @@ def check_idempotents_formula(ctx: PairContext):
         for (s, x) in [ctx.instance.pair_of(k)]
         if s_ring.mul(s, s) == s and module.add(module.act(s, x), module.act(s, x)) == x
     )
-    got = frozenset(k for k in ctx.product.elements() if ctx.product.mul(k, k) == k)
+    got = ctx.product_census.idempotents.members
     if got != expected:
         return FAIL, {"idempotents": ctx.pairs_of(got)}
-    if additive_idempotents(module).members == {module.zero}:
+    if ctx.module_census.additive_idempotents.members == {module.zero}:
         for k in got:
             if ctx.instance.pair_of(k)[1] != module.zero:
                 return FAIL, {"reason": "idempotent with nonzero vector part", "element": ctx.pair(k)}
@@ -584,79 +566,77 @@ def check_zero_divisors_formula(ctx: PairContext):
 
 
 def check_semifield_local(ctx: PairContext):
-    if not is_semifield(ctx.semiring):
+    if not ctx.scalar_census.semifield:
         return NA, None
-    return (PASS, None) if is_local(ctx.product) else (FAIL, None)
+    return (PASS, None) if ctx.product_census.local else (FAIL, None)
 
 
 def check_presimplifiable_iff(ctx: PairContext):
-    presimp = ctx.presimplifiable
-    lhs = presimp["product"]
-    rhs = ctx.vset_full and presimp["scalar"] and presimp["module"]
+    lhs = ctx.product_census.presimplifiable
+    rhs = ctx.vset_full and ctx.scalar_census.presimplifiable and ctx.module_census.presimplifiable
     return (PASS, None) if lhs == rhs else (FAIL, {"product": lhs, "factors": rhs})
 
 
 def check_presimplifiable_strongly_associate(ctx: PairContext):
-    for role, presimp in ctx.presimplifiable.items():
-        strongly = ctx.strongly_associate[role]
-        if presimp and not strongly:
+    roles = {"scalar": ctx.scalar_census, "module": ctx.module_census, "product": ctx.product_census}
+    for role, census in roles.items():
+        if census.presimplifiable and not census.strongly_associate:
             return FAIL, {"structure": role}
-        if strongly and not presimp:
-            ctx.census.append(f"{ctx.label}:{role}")
+        if census.strongly_associate and not census.presimplifiable:
+            ctx.strongly_associate_only.append(f"{ctx.label}:{role}")
     return PASS, None
 
 
 def check_strongly_associate_transfer(ctx: PairContext):
-    sa = ctx.strongly_associate
-    if sa["product"] and not (sa["scalar"] and sa["module"]):
-        return FAIL, {"scalar": sa["scalar"], "module": sa["module"]}
-    if ctx.presimplifiable["scalar"] and ctx.vset_full and sa["product"] != sa["module"]:
-        return FAIL, {"product": sa["product"], "module": sa["module"]}
+    s, m, e = ctx.scalar_census, ctx.module_census, ctx.product_census
+    if e.strongly_associate and not (s.strongly_associate and m.strongly_associate):
+        return FAIL, {"scalar": s.strongly_associate, "module": m.strongly_associate}
+    if s.presimplifiable and ctx.vset_full and e.strongly_associate != m.strongly_associate:
+        return FAIL, {"product": e.strongly_associate, "module": m.strongly_associate}
     return PASS, None
 
 
 def check_domainlike_iff(ctx: PairContext):
-    lhs = is_domainlike(ctx.product)
-    rhs = is_domainlike(ctx.semiring) and ctx.z_m <= ctx.nil_s
+    lhs = ctx.product_census.domainlike
+    rhs = ctx.scalar_census.domainlike and ctx.z_m <= ctx.nil_s
     return (PASS, None) if lhs == rhs else (FAIL, {"product": lhs, "factors": rhs})
 
 
 def check_clean_transfer(ctx: PairContext):
     if not ctx.vset_full:
         return NA, None
-    lhs, rhs = is_clean(ctx.product), is_clean(ctx.semiring)
+    lhs, rhs = ctx.product_census.clean, ctx.scalar_census.clean
     return (PASS, None) if lhs == rhs else (FAIL, {"product": lhs, "scalar": rhs})
 
 
 def check_almost_clean_iff(ctx: PairContext):
-    lhs = is_almost_clean(ctx.product)
-    rhs = almost_clean_by_parts(ctx.semiring, ctx.module)
+    lhs = ctx.product_census.almost_clean
+    rhs = ctx.scalar_census.almost_clean_by_parts(ctx.module_census)
     return (PASS, None) if lhs == rhs else (FAIL, {"product": lhs, "criterion": rhs})
 
 
 def check_weakly_clean_transfer(ctx: PairContext):
     if not ctx.vset_full:
         return NA, None
-    lhs, rhs = is_weakly_clean(ctx.product), is_weakly_clean(ctx.semiring)
+    lhs, rhs = ctx.product_census.weakly_clean, ctx.scalar_census.weakly_clean
     return (PASS, None) if lhs == rhs else (FAIL, {"product": lhs, "scalar": rhs})
 
 
 def check_additively_regular_componentwise(ctx: PairContext):
-    ar_s = additively_regular_elements(ctx.semiring).members
-    ar_m = additively_regular_elements(ctx.module).members
-    expected = box_members(ctx.instance, ar_s, ar_m)
-    got = additively_regular_elements(ctx.product).members
+    s, m, e = ctx.scalar_census, ctx.module_census, ctx.product_census
+    regular_s, regular_m = s.additively_regular_elements.members, m.additively_regular_elements.members
+    got = e.additively_regular_elements.members
+    expected = box_members(ctx.instance, regular_s, regular_m)
     if got != expected:
         return FAIL, {"regular": ctx.pairs_of(got)}
-    flag = is_additively_regular(ctx.product)
-    if flag != (is_additively_regular(ctx.semiring) and is_additively_regular(ctx.module)):
-        return FAIL, {"flag": flag}
+    if e.additively_regular != (s.additively_regular and m.additively_regular):
+        return FAIL, {"flag": e.additively_regular}
     return PASS, None
 
 
 def check_v_set_law(ctx: PairContext):
-    for structure in (ctx.semiring, ctx.module, ctx.product):
-        members = v_set(structure).members
+    for census in (ctx.scalar_census, ctx.module_census, ctx.product_census):
+        structure, members = census.structure, census.v_set.members
         for x in structure.elements():
             for y in structure.elements():
                 if (structure.add_table[x][y] in members) != (x in members and y in members):
@@ -764,7 +744,7 @@ def run_pair(label: str, semiring: FiniteSemiring, module: FiniteSemimodule):
     """Run every registered check on one grid cell."""
     ctx = PairContext(label=label, semiring=semiring, module=module)
     records = [_record(theorem, label, fn, ctx) for theorem, _statement, fn in CHECKS]
-    return records, list(ctx.census)
+    return records, list(ctx.strongly_associate_only)
 
 
 def _run_cell(cell: GridCell):
@@ -772,7 +752,10 @@ def _run_cell(cell: GridCell):
 
 
 def _run_cells(cells: list[GridCell], workers: int):
-    """Records and census of each cell, in grid order, from ``workers`` processes (1: this one)."""
+    """Records and strongly-associate-only labels of each cell, in grid order.
+
+    The cells run in ``workers`` processes (1: this one).
+    """
     if workers <= 1:
         yield from map(_run_cell, cells)
         return
@@ -864,11 +847,11 @@ def run_suite(
 ) -> VerificationReport:
     """Run all checks over the grid, the numeric sections, and the probes."""
     records: list[CheckRecord] = []
-    census: list[str] = []
+    strongly_associate_only: list[str] = []
     workers = min(jobs, len(cells), os.cpu_count() or 1)
-    for cell_records, cell_census in _run_cells(cells, workers):
+    for cell_records, cell_labels in _run_cells(cells, workers):
         records.extend(cell_records)
-        census.extend(cell_census)
+        strongly_associate_only.extend(cell_labels)
 
     if include_numeric:
         sections = (
@@ -882,8 +865,8 @@ def run_suite(
     informational.append(
         {
             "id": "strongly-associate-not-presimplifiable-census",
-            "count": len(census),
-            "examples": sorted(census)[:8],
+            "count": len(strongly_associate_only),
+            "examples": sorted(strongly_associate_only)[:8],
         }
     )
     return VerificationReport(

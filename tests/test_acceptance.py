@@ -10,21 +10,16 @@ import random
 from time import perf_counter
 
 from semiringlab import (
+    Census,
     builtin,
     build_expectation,
     classify,
     enumerate_semirings,
-    idempotents,
-    is_clean,
-    is_presimplifiable,
-    nilpotents,
     self_module,
     semimodule_violations,
     semiring_to_dict,
     semimodule_to_dict,
     semiring_violations,
-    units,
-    zero_divisors,
     zmod_quotient_module,
 )
 from semiringlab.catalog import BUILTIN_SEMIRING_NAMES, are_isomorphic, standard_modules
@@ -158,10 +153,10 @@ def test_criterion_3_theorem_suite_full_grid():
 # witness, statement, label or grid order changes it.
 GOLDEN_REPORT_DIGEST = "cf083773e5ccb6235b8cab137571d7188fc8272e03fb175e521d1eee29b7162b"
 
-# The same digest for the order-4 grid with the builtin pairs.  Its 12
-# failures are the known Cor-2.15 ones (ROADMAP item 3); pinning them does
-# not endorse them, and a fix of that check updates this digest with it.
-ORDER4_REPORT_DIGEST = "c96ac811a8b06dadb20af8dacd74c587a892db6508c3e1706f1562234d9bf547"
+# The same digest for the order-4 grid with the builtin pairs.  Every check
+# passes or is not applicable there; Cor-2.15 asks for a primary scalar part,
+# without which 12 boxes with I = N = {0} failed it.
+ORDER4_REPORT_DIGEST = "db11b845a105842804d9e7e046187fef0402502bcc4be2614b63a723c8f85a6a"
 
 
 def _without_runtime(value):
@@ -192,8 +187,8 @@ def test_order4_report_digest():
     def body():
         cells = default_grid(max_order=4, include_builtins=True, module_order=3)
         report = run_suite(cells, seed=0)
-        assert report.counts() == {"pass": 20185, "fail": 12, "not-applicable": 2730}
-        assert {r.theorem for r in report.failures()} == {"Cor-2.15"}
+        assert report.counts() == {"pass": 20197, "fail": 0, "not-applicable": 2730}
+        assert report.failures() == []
         digest = _report_digest(report)
         assert digest == ORDER4_REPORT_DIGEST, digest
         return "order-4 report identical to the pinned digest apart from runtime fields"
@@ -221,18 +216,18 @@ def test_criterion_5_spot_values():
         b = builtin("boolean").structure
         bb = build_expectation(b, self_module(b))
         pairs = lambda members: {bb.pair_of(k) for k in members}
-        assert pairs(units(bb.product).members) == {(1, 0)}
-        assert pairs(nilpotents(bb.product).members) == {(0, 0), (0, 1)}
-        assert pairs(zero_divisors(bb.product).members) == {(0, 0), (0, 1)}
-        assert pairs(idempotents(bb.product).members) == {(0, 0), (1, 0), (1, 1)}
-        assert is_presimplifiable(bb.product) is False
+        assert pairs(Census(bb.product).units.members) == {(1, 0)}
+        assert pairs(Census(bb.product).nilpotents.members) == {(0, 0), (0, 1)}
+        assert pairs(Census(bb.product).zero_divisors.members) == {(0, 0), (0, 1)}
+        assert pairs(Census(bb.product).idempotents.members) == {(0, 0), (1, 0), (1, 1)}
+        assert Census(bb.product).presimplifiable is False
 
         z4 = builtin("zmod_4").structure
         z4z4 = build_expectation(z4, self_module(z4))
-        pairs4 = {z4z4.pair_of(k) for k in idempotents(z4z4.product).members}
+        pairs4 = {z4z4.pair_of(k) for k in Census(z4z4.product).idempotents.members}
         assert pairs4 == {(0, 0), (1, 0)}
-        assert is_clean(z4z4.product) is True
-        assert classify(z4z4).flags["clean"] is True
+        assert Census(z4z4.product).clean is True
+        assert classify(z4z4)["flags"]["clean"] is True
         return "all seven spot values reproduced exactly"
 
     timed(5, 30.0, body)

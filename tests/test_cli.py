@@ -103,9 +103,28 @@ def test_ideals_refuses_a_carrier_past_the_bound(capsys, tmp_path):
 def test_classify_product(capsys, tmp_path, z4_file, module_file):
     assert main(["classify", "--instance", z4_file, "--module", module_file]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "semiringlab/class-report/1"
-    assert payload["size"] == 8
-    assert isinstance(payload["flags"]["clean"], bool)
+    # pairs (s, x) are numbered 2s + x: the units are (1, x) and (3, x)
+    assert payload == {
+        "schema": "semiringlab/class-report/1",
+        "name": "E(zmod_4, zmod_2)",
+        "size": 8,
+        "units": [2, 3, 6, 7],
+        "v_set": [0, 1, 2, 3, 4, 5, 6, 7],
+        "idempotents": [0, 2],
+        "nilpotents": [0, 1, 4, 5],
+        "zero_divisors": [0, 1, 4, 5],
+        "flags": {
+            "local": True,
+            "presimplifiable": True,
+            "strongly_associate": True,
+            "domainlike": True,
+            "clean": True,
+            "almost_clean": True,
+            "weakly_clean": True,
+            "weakly_clean_literal": True,
+            "additively_regular": True,
+        },
+    }
 
 
 def test_enumerate_semirings_to_dir(capsys, tmp_path):

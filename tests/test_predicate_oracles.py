@@ -12,30 +12,21 @@ ideal and subsemimodule closure tests is compared on every subset.
 import pytest
 
 from semiringlab import (
+    Census,
     EmptyModule,
     NotAnIdeal,
-    almost_clean_by_parts,
     box_ideal,
     build_expectation,
     default_grid,
     enumerate_ideals,
     enumerate_subsemimodules,
-    is_almost_clean,
-    is_clean,
-    is_domainlike,
-    is_presimplifiable,
     is_primary,
     is_primary_submodule,
     is_prime,
-    is_strongly_associate,
     is_subtractive,
-    is_weakly_clean,
     is_weakly_prime,
-    nilpotents,
     radical,
     residual,
-    units,
-    zero_divisors,
 )
 from semiringlab.ideals import ideal_violation, submodule_violation
 
@@ -221,18 +212,19 @@ def box_oracle(instance, ideal_members, submodule_members):
 
 def check_semiring(semiring):
     name = semiring.name
-    assert units(semiring).members == units_of(semiring), name
-    assert zero_divisors(semiring).members == zero_divisors_of(semiring), name
-    assert nilpotents(semiring).members == nilpotents_of(semiring), name
-    assert is_domainlike(semiring) == (zero_divisors_of(semiring) <= nilpotents_of(semiring)), name
-    assert is_presimplifiable(semiring) == presimplifiable_oracle(semiring), name
-    assert is_strongly_associate(semiring) == strongly_associate_oracle(semiring), name
+    census = Census(semiring)
+    assert census.units.members == units_of(semiring), name
+    assert census.zero_divisors.members == zero_divisors_of(semiring), name
+    assert census.nilpotents.members == nilpotents_of(semiring), name
+    assert census.domainlike == (zero_divisors_of(semiring) <= nilpotents_of(semiring)), name
+    assert census.presimplifiable == presimplifiable_oracle(semiring), name
+    assert census.strongly_associate == strongly_associate_oracle(semiring), name
     expected = clean_oracles(semiring)
     got = {
-        "clean": is_clean(semiring),
-        "almost_clean": is_almost_clean(semiring),
-        "weakly_clean": is_weakly_clean(semiring),
-        "weakly_clean_literal": is_weakly_clean(semiring, literal=True),
+        "clean": census.clean,
+        "almost_clean": census.almost_clean,
+        "weakly_clean": census.weakly_clean,
+        "weakly_clean_literal": census.weakly_clean_literal,
     }
     assert got == expected, name
     check_witnesses(semiring)
@@ -252,16 +244,17 @@ def check_semiring(semiring):
 
 def check_module(module):
     names = (module.base.name, module.name)
-    assert is_presimplifiable(module) == presimplifiable_oracle(module), names
-    assert is_strongly_associate(module) == strongly_associate_oracle(module), names
+    census = Census(module)
+    assert census.presimplifiable == presimplifiable_oracle(module), names
+    assert census.strongly_associate == strongly_associate_oracle(module), names
     if module.size == 1:
-        for predicate in (zero_divisors, is_domainlike):
+        for entry in ("zero_divisors", "domainlike"):
             with pytest.raises(EmptyModule):
-                predicate(module)
+                getattr(census, entry)
     else:
         z = module_zero_divisors_of(module)
-        assert zero_divisors(module).members == z, names
-        assert is_domainlike(module) == (z <= nilpotents_of(module.base)), names
+        assert census.zero_divisors.members == z, names
+        assert census.domainlike == (z <= nilpotents_of(module.base)), names
     check_witnesses(module)
     submodules = enumerate_subsemimodules(module)
     for n in submodules:
@@ -298,7 +291,7 @@ def test_predicates_match_literal_definitions_on_default_grid():
         bad = zero_divisors_of(semiring) | module_zero_divisors_of(module)
         good = set(semiring.elements()) - bad
         by_parts = all(sum_of(semiring, a, good, idempotents_of(semiring)) for a in semiring.elements())
-        assert almost_clean_by_parts(semiring, module) == by_parts, cell.label
+        assert Census(semiring).almost_clean_by_parts(Census(module)) == by_parts, cell.label
 
         for i in ideals:
             for n in submodules:

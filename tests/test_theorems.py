@@ -1,13 +1,34 @@
 import multiprocessing
 import os
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
-from semiringlab import builtin, catalog, ideals, run_pair, run_suite, self_module, theorems, weakly_prime_forward_probe
+from semiringlab import (
+    Census,
+    builtin,
+    catalog,
+    ideals,
+    run_pair,
+    run_suite,
+    self_module,
+    theorems,
+    weakly_prime_forward_probe,
+)
 from semiringlab.ideals import Ideal, NotAnIdeal
 from semiringlab.tables import FiniteSemimodule, same_semiring
-from semiringlab.theorems import CHECKS, FAIL, NA, GridCell, PairContext, check_product_is_semiring, default_grid
+from semiringlab.theorems import (
+    CHECKS,
+    FAIL,
+    NA,
+    PASS,
+    GridCell,
+    PairContext,
+    check_primary_box_with_subtractive_module,
+    check_product_is_semiring,
+    default_grid,
+)
 
 
 def test_check_registry_ids_are_unique():
@@ -33,21 +54,32 @@ def test_zmod4_pair_statuses():
     assert by_id["Thm-3.3-1"].status == "pass"
 
 
-def test_section3_flags_are_derived_once_per_structure(monkeypatch):
-    # Thm-3.7, Prop-3.9 and Prop-3.10 read the scalar, module and product
-    # flags from the cell context, so each predicate runs once per structure.
-    calls = {"is_presimplifiable": 0, "is_strongly_associate": 0}
-    for name in calls:
-
-        def counted(structure, _name=name, _original=getattr(theorems, name)):
-            calls[_name] += 1
-            return _original(structure)
-
-        monkeypatch.setattr(theorems, name, counted)
+def test_census_entries_are_computed_once_per_carrier(monkeypatch):
+    # The cell context keeps one census per carrier role, and the scalar
+    # census is the module census's base, so every element set and class
+    # flag is computed at most once per carrier, and the scalar units once.
     z4 = builtin("zmod_4").structure
-    records, _census = run_pair("E(zmod_4, zmod_4)", z4, self_module(z4))
+    module = self_module(z4)
+    roles = {id(z4): "scalar", id(module): "module"}
+    calls = Counter()
+    for name, value in list(vars(Census).items()):
+        if isinstance(value, cached_property):
+
+            def counted(census, _name=name, _compute=value.func):
+                calls[_name, roles.get(id(census.structure), "product")] += 1
+                return _compute(census)
+
+            entry = cached_property(counted)
+            entry.__set_name__(Census, name)
+            monkeypatch.setattr(Census, name, entry)
+    records, _census = run_pair("E(zmod_4, zmod_4)", z4, module)
     assert all(r.status != FAIL for r in records)
-    assert calls == {"is_presimplifiable": 3, "is_strongly_associate": 3}
+    assert {key: n for key, n in calls.items() if n > 1} == {}
+    assert calls["units", "scalar"] == 1
+    assert {name for name, _role in calls} >= {
+        "units", "idempotents", "nilpotents", "zero_divisors", "additively_regular_elements", "v_set",
+        "presimplifiable", "strongly_associate", "domainlike", "clean", "almost_clean", "weakly_clean",
+    }
 
 
 def test_ideal_layer_facts_are_derived_once_per_cell(monkeypatch):
@@ -98,6 +130,24 @@ def test_context_ideal_reads_the_enumeration_and_validates_the_rest():
             Ideal(carrier, members)
         assert err.value.witness == direct.value.witness != ()
         assert str(err.value) == str(direct.value)
+
+
+def test_primary_box_criterion_requires_a_primary_scalar_part():
+    # On E(S4.06, M2.01) every subsemimodule is subtractive, and I = {0},
+    # N = {0} meet the criterion without its first clause: N is primary and
+    # rad I = rad(N : M) = {0, 3}.  The box is not primary, since
+    # (3, 0)(2, 0) = (0, 0) and no power of (2, 0) lies in it; nor is I,
+    # since 3 * 2 = 0.  Requiring I primary makes Cor-2.15 pass here.
+    semiring = next(e.structure for e in catalog.enumerate_semirings(4) if e.name == "S4.06")
+    module = next(e.structure for e in catalog.enumerate_semimodules(semiring, 2) if e.name == "M2.01")
+    ctx = PairContext(label="E(S4.06, M2.01)", semiring=semiring, module=module)
+    assert all(ideals.is_subtractive(n) for n in ctx.submods_m)
+    i, n = ctx.ideal("scalar", frozenset({0})), ctx.submodule(frozenset({0}))
+    box = next(box for i_, n_, box in ctx.boxables if i_ is i and n_ is n)
+    assert ideals.is_primary_submodule(n)
+    assert ideals.radical(i).members == ideals.radical(ideals.residual(n)).members == {0, 3}
+    assert not ideals.is_primary(box) and not ideals.is_primary(i)
+    assert check_primary_box_with_subtractive_module(ctx) == (PASS, None)
 
 
 def test_suite_report_shape_and_uniqueness():
