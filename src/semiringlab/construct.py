@@ -13,6 +13,7 @@ the zero-scalar slice, and cross-checks the triangular-record presentation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .tables import (
@@ -67,16 +68,12 @@ def build_expectation(semiring: FiniteSemiring, module: FiniteSemimodule) -> Exp
     if not same_semiring(module.base, semiring):
         raise BaseMismatch("module is not defined over the given semiring")
     n, m = semiring.size, module.size
+    s_add, s_mul = semiring.add_table, semiring.mul_table
+    m_add, act = module.add_table, module.action_table
     pairs = [(s, x) for s in range(n) for x in range(m)]
-    add_rows = [
-        [semiring.add(s1, s2) * m + module.add(x1, x2) for s2, x2 in pairs] for s1, x1 in pairs
-    ]
+    add_rows = [[s_add[s1][s2] * m + m_add[x1][x2] for s2, x2 in pairs] for s1, x1 in pairs]
     mul_rows = [
-        [
-            semiring.mul(s1, s2) * m + module.add(module.act(s1, x2), module.act(s2, x1))
-            for s2, x2 in pairs
-        ]
-        for s1, x1 in pairs
+        [s_mul[s1][s2] * m + m_add[act[s1][x2]][act[s2][x1]] for s2, x2 in pairs] for s1, x1 in pairs
     ]
 
     s_name = semiring.name or "S"
@@ -106,13 +103,14 @@ def scalar_slice(instance: ExpectationInstance) -> frozenset[int]:
 
 def box_members(instance: ExpectationInstance, scalars, vectors) -> frozenset[int]:
     """Product indices of the pairs (s, x) with s in ``scalars`` and x in ``vectors``."""
-    return frozenset(instance.index_of(s, x) for s in scalars for x in vectors)
+    m = instance.factor_module.size
+    return frozenset([s * m + x for s in scalars for x in vectors])
 
 
 def projections(instance: ExpectationInstance, members) -> tuple[frozenset[int], frozenset[int]]:
     """Scalar and module coordinates of the product indices in ``members``."""
-    pairs = [instance.pair_of(k) for k in members]
-    return frozenset(s for s, _x in pairs), frozenset(x for _s, x in pairs)
+    m = instance.factor_module.size
+    return frozenset([k // m for k in members]), frozenset([k % m for k in members])
 
 
 def zero_scalar_slice(instance: ExpectationInstance) -> frozenset[int]:
@@ -146,51 +144,34 @@ def matrix_iso_check(instance: ExpectationInstance) -> bool:
     componentwise addition and row-by-column triangular multiplication
     (corner = a11*b12 + a12*b22, via the module action), and compares the
     resulting tables, zero and one with the product under the pair
-    bijection.  The product is validated when it is built, so equal tables
-    need no second scan.  A theorem says this always returns True; False
-    signals an implementation bug.
+    bijection.  A result record off the diagonal has no index, so its row
+    cannot match.  The product is validated when it is built, so equal
+    tables need no second scan.  A theorem says this always returns True;
+    False signals an implementation bug.
     """
     semiring = instance.factor_semiring
     module = instance.factor_module
     product = instance.product
+    s_add, s_mul = semiring.add_table, semiring.mul_table
+    m_add, act = module.add_table, module.action_table
 
     records = tuple((s, x, s) for s, x in instance.pairs)
-    rec_index = {rec: k for k, rec in enumerate(records)}
+    rec_index = {rec: k for k, rec in enumerate(records)}.get
 
-    def radd(a, b):
-        return (
-            semiring.add(a[0], b[0]),
-            module.add(a[1], b[1]),
-            semiring.add(a[2], b[2]),
+    for k, (a0, a1, a2) in enumerate(records):
+        add0, add1, add2 = s_add[a0], m_add[a1], s_add[a2]
+        mul0, act0, mul2 = s_mul[a0], act[a0], s_mul[a2]
+        act_a1 = [row[a1] for row in act]
+        add_row = tuple([rec_index((add0[b0], add1[b1], add2[b2])) for b0, b1, b2 in records])
+        mul_row = tuple(
+            [rec_index((mul0[b0], m_add[act0[b1]][act_a1[b2]], mul2[b2])) for b0, b1, b2 in records]
         )
-
-    def rmul(a, b):
-        return (
-            semiring.mul(a[0], b[0]),
-            module.add(module.act(a[0], b[1]), module.act(b[2], a[1])),
-            semiring.mul(a[2], b[2]),
-        )
-
-    count = len(records)
-    add_rows = []
-    mul_rows = []
-    for i in range(count):
-        add_row = []
-        mul_row = []
-        for j in range(count):
-            for op, row in ((radd, add_row), (rmul, mul_row)):
-                rec = op(records[i], records[j])
-                if rec[0] != rec[2] or rec not in rec_index:
-                    return False
-                row.append(rec_index[rec])
-        add_rows.append(add_row)
-        mul_rows.append(mul_row)
+        if add_row != product.add_table[k] or mul_row != product.mul_table[k]:
+            return False
 
     return (
-        tuple(map(tuple, add_rows)) == product.add_table
-        and tuple(map(tuple, mul_rows)) == product.mul_table
-        and rec_index[(semiring.zero, module.zero, semiring.zero)] == product.zero
-        and rec_index[(semiring.one, module.zero, semiring.one)] == product.one
+        rec_index((semiring.zero, module.zero, semiring.zero)) == product.zero
+        and rec_index((semiring.one, module.zero, semiring.one)) == product.one
     )
 
 
@@ -205,17 +186,19 @@ def graded_decomposition(instance: ExpectationInstance) -> GradedDecomposition:
     t0 = scalar_slice(instance)
     t1 = zero_scalar_slice(instance)
 
+    add, mul = product.add_table, product.mul_table
+    hits = Counter([add[a][b] for a in t0 for b in t1])
     for k in product.elements():
-        hits = [(a, b) for a in t0 for b in t1 if product.add(a, b) == k]
-        if len(hits) != 1:
-            raise RuntimeError(f"element {instance.pair_of(k)} has {len(hits)} degree decompositions")
+        if hits[k] != 1:
+            raise RuntimeError(f"element {instance.pair_of(k)} has {hits[k]} degree decompositions")
 
     targets = {(0, 0): t0, (0, 1): t1, (1, 0): t1, (1, 1): frozenset({product.zero})}
     slices = {0: t0, 1: t1}
     for (i, j), allowed in targets.items():
         for a in slices[i]:
+            row = mul[a]
             for b in slices[j]:
-                if product.mul(a, b) not in allowed:
+                if row[b] not in allowed:
                     raise RuntimeError(
                         f"degree {i} times degree {j} escapes degree {i + j} at "
                         f"{instance.pair_of(a)} * {instance.pair_of(b)}"

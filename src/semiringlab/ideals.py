@@ -192,11 +192,12 @@ def _require_proper(subset: Subset) -> None:
 
 def _power_in(semiring: FiniteSemiring, b: int, members: frozenset[int]) -> bool:
     """True iff one of b, b^2, ..., b^size lies in ``members``."""
+    mul = semiring.mul_table
     power = b
     for _ in range(semiring.size):
         if power in members:
             return True
-        power = semiring.mul(power, b)
+        power = mul[power][b]
     return False
 
 

@@ -178,10 +178,16 @@ def _parse_table(rows: object, n_rows: int, n_cols: int, what: str) -> Table:
     return tuple(out)
 
 
+def _is_int(v: object) -> bool:
+    """An int that is not a bool: JSON ``true``/``false`` load as bools, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _entry_violations(table: Table, size: int, axiom: str) -> list[AxiomViolation]:
     out = []
     for r, row in enumerate(table):
         for c, v in enumerate(row):
+            # _is_int inlined: this runs once per table entry
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size:
                 out.append(AxiomViolation(axiom, (r, c)))
     return out
@@ -244,11 +250,11 @@ def _monoid_violations(table: Table, n: int, e: int, op: str) -> list[AxiomViola
 def _scan_semiring(data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
     """Parse the tables of ``data`` once and scan every semiring axiom on them."""
     n = data.get("size")
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise SizeMismatch("size must be an integer >= 2 (the identities 0 and 1 must differ)")
     zero, one = data.get("zero"), data.get("one")
     for label, v in (("zero", zero), ("one", one)):
-        if not isinstance(v, int) or not 0 <= v < n:
+        if not _is_int(v) or not 0 <= v < n:
             raise SizeMismatch(f"{label} must be an index in 0..{n - 1}")
     add = _parse_table(data.get("add"), n, n, "add")
     mul = _parse_table(data.get("mul"), n, n, "mul")
@@ -299,10 +305,10 @@ def validate_semiring(data: Mapping) -> FiniteSemiring:
 def _scan_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
     """Parse the tables of ``data`` once and scan every semimodule axiom over ``base``."""
     m = data.get("size")
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise SizeMismatch("size must be an integer >= 1")
     zero = data.get("zero")
-    if not isinstance(zero, int) or not 0 <= zero < m:
+    if not _is_int(zero) or not 0 <= zero < m:
         raise SizeMismatch(f"zero must be an index in 0..{m - 1}")
     if "base" in data and data["base"] is not None:
         embedded = data["base"]

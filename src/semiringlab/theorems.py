@@ -249,12 +249,18 @@ class PairContext:
 
 
 def _is_graded(ctx: PairContext, members: frozenset[int]) -> bool:
-    """Every member splits into a scalar-slice part and a zero-scalar part inside the set."""
-    index_of, module_zero, scalar_zero = ctx.instance.index_of, ctx.module.zero, ctx.semiring.zero
-    return all(
-        index_of(s, module_zero) in members and index_of(scalar_zero, x) in members
-        for s, x in map(ctx.instance.pair_of, members)
-    )
+    """Every member (s, x) splits into (s, 0) and (0, x), both inside the set.
+
+    With m the module size, member k = s*m + x has (s, 0) at k - x + zero_M
+    and (0, x) at zero_S*m + x.
+    """
+    m = ctx.module.size
+    module_zero, scalar_base = ctx.module.zero, ctx.semiring.zero * m
+    for k in members:
+        x = k % m
+        if k - x + module_zero not in members or scalar_base + x not in members:
+            return False
+    return True
 
 
 def _full_module_box_scalars(ctx: PairContext, members: frozenset[int]) -> frozenset[int] | None:
@@ -352,8 +358,9 @@ def check_box_ideal_iff(ctx: PairContext):
             degree_targets = [(t0, j0, j0), (t0, j1, j1), (t1, j0, j1), (t1, j1, {e_ring.zero})]
             for left, right, target in degree_targets:
                 for a in left:
+                    row = e_ring.mul_table[a]
                     for b in right:
-                        if e_ring.mul(a, b) not in target:
+                        if row[b] not in target:
                             return FAIL, {
                                 "reason": "degree overflow",
                                 "a": ctx.pair(a),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from semiringlab import (
@@ -81,6 +83,27 @@ def test_matrix_presentation_agrees():
     z4 = builtin("zmod_4").structure
     inst = build_expectation(z4, zmod_quotient_module(4, 2))
     assert matrix_iso_check(inst)
+
+
+def _swap_in_row_one(table):
+    """``table`` with the entry at column 0 of row 1 swapped with the first different one."""
+    rows = [list(row) for row in table]
+    row = rows[1]
+    c = next(c for c, v in enumerate(row) if v != row[0])
+    row[0], row[c] = row[c], row[0]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("field", ["add_table", "mul_table", "one"])
+def test_matrix_presentation_rejects_a_product_off_the_factors(field):
+    inst = zmod4_pair()
+    product = inst.product
+    if field == "one":
+        wrong = next(k for k in product.elements() if k not in (product.zero, product.one))
+    else:
+        wrong = _swap_in_row_one(getattr(product, field))
+    assert matrix_iso_check(inst)
+    assert not matrix_iso_check(replace(inst, product=replace(product, **{field: wrong})))
 
 
 def test_degree_slices_of_boolean_pair():

@@ -6,7 +6,9 @@ a semiring or a module are checked on both.  The oracles below read the
 definitions word for word: all powers of an element are listed until one
 repeats, and nothing is shared with the library's scans.  On every
 carrier of at most ``WITNESS_CARRIER`` elements the first witness of the
-ideal and subsemimodule closure tests is compared on every subset.
+ideal and subsemimodule closure tests is compared on every subset.  The
+product coordinates (boxes, projections and the graded test) are compared
+with their definitions through the pair bijection on every cell.
 """
 
 import pytest
@@ -28,7 +30,9 @@ from semiringlab import (
     radical,
     residual,
 )
+from semiringlab.construct import box_members, projections
 from semiringlab.ideals import ideal_violation, submodule_violation
+from semiringlab.theorems import PairContext, _is_graded
 
 WITNESS_CARRIER = 9
 
@@ -304,3 +308,25 @@ def test_predicates_match_literal_definitions_on_default_grid():
                         box_ideal(instance, i, n)
                     assert err.value.witness == witness, where
     assert len(cells) == 68
+
+
+def test_product_coordinates_match_pair_definitions_on_default_grid():
+    graded = total = 0
+    for cell in default_grid(max_order=3):
+        ctx = PairContext(cell.label, cell.semiring, cell.module)
+        instance = ctx.instance
+        index_of, pair_of = instance.index_of, instance.pair_of
+        s_zero, m_zero = cell.semiring.zero, cell.module.zero
+        for i in ctx.ideals_s:
+            for n in ctx.submods_m:
+                expected = frozenset(index_of(s, x) for s in i.members for x in n.members)
+                assert box_members(instance, i.members, n.members) == expected, cell.label
+        for j in ctx.ideals_e:
+            pairs = [pair_of(k) for k in j.members]
+            expected = (frozenset(s for s, _x in pairs), frozenset(x for _s, x in pairs))
+            assert projections(instance, j.members) == expected, cell.label
+            splits = all(index_of(s, m_zero) in j.members and index_of(s_zero, x) in j.members for s, x in pairs)
+            assert _is_graded(ctx, j.members) == splits, (cell.label, sorted(j.members))
+            graded += splits
+            total += 1
+    assert 0 < graded < total

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from semiringlab import (
     validate_semimodule,
     validate_semiring,
 )
+from semiringlab.cli import main
 
 BOOLEAN = {
     "name": "boolean",
@@ -73,6 +76,28 @@ def test_size_mismatch_raises():
         semiring_violations(dict(BOOLEAN, size=1, add=[[0]], mul=[[0]]))
     with pytest.raises(SizeMismatch):
         semiring_violations(dict(BOOLEAN, zero=5))
+
+
+# JSON true/false load as bools, which Python also counts as the ints 1 and 0.
+BOOL_INDEXED = [
+    ("semiring", dict(BOOLEAN, one=True), "one"),
+    ("semiring", dict(BOOLEAN, zero=False), "zero"),
+    ("semimodule", {"size": True, "zero": 0, "add": [[0]], "action": [[0], [0]], "base": "boolean"}, "size"),
+    ("semimodule", {"size": 1, "zero": False, "add": [[0]], "action": [[0], [0]], "base": "boolean"}, "zero"),
+]
+
+
+@pytest.mark.parametrize("kind,data,field", BOOL_INDEXED)
+def test_bool_size_or_index_is_a_size_mismatch(capsys, tmp_path, kind, data, field):
+    with pytest.raises(SizeMismatch, match=field):
+        if kind == "semiring":
+            validate_semiring(data)
+        else:
+            validate_semimodule(validate_semiring(BOOLEAN), data)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(f"{path}: ERROR {field} must be")
 
 
 def test_entry_out_of_range_reported():

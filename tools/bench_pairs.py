@@ -1,0 +1,109 @@
+"""Run the benchmark alternately in two checkouts and compare the end-to-end metrics.
+
+    python3 tools/bench_pairs.py BASE CHANGE --workload NAME [--pairs 10] [--seed 1] [--seconds S]
+
+BASE and CHANGE are two checkouts of this repository, such as a parent commit
+and a change exported with ``git archive``.  One pair runs
+``perfbench/run.py --trace 0`` once in each checkout, each run in its own
+process with the checkout as its working directory.  The side that runs first
+alternates from pair to pair, starting with BASE.  ``--seconds`` defaults to
+the ``run_seconds`` of BASE's BENCHMARK.json, so both sides run as long.
+
+The script prints every pair's end-to-end metrics and verdict digest, then,
+per metric, each side's median and quartiles, the number of pairs the change
+won (ties count for neither side) and the base's interquartile range.  It
+writes nothing itself; the runs write only what the benchmark writes (its
+``.perfbench_out/`` directory and Python's bytecode caches).  Exit code 0
+when every run was correct and both sides printed one verdict digest, 1 when
+a run failed or the digests differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run: its metric values, verdict digest and correctness."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise RuntimeError(f"{checkout}: benchmark exited {proc.returncode}\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    digests = [line.split()[-1] for line in lines if line.strip().startswith("verdict_digest")]
+    return {
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "digest": digests[0] if digests else None,
+        "correct": proc.returncode == 0 and result["correct"],
+    }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float)
+    args = parser.parse_args(argv)
+    with open(args.base / "BENCHMARK.json", encoding="utf-8") as handle:
+        bench = json.load(handle)
+    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    lower_is_better = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    sides = {"base": args.base, "change": args.change}
+
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            try:
+                runs[side].append(run_once(sides[side], args.workload, args.seed, seconds))
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+        cells = []
+        for side in ("base", "change"):
+            run = runs[side][-1]
+            values = " ".join(f"{name}={value:.4f}" for name, value in run["metrics"].items())
+            flag = "" if run["correct"] else " INCORRECT"
+            cells.append(f"{side} {values} digest={(run['digest'] or '-')[:12]}{flag}")
+        print(f"pair {i + 1:2d} ({order[0]} first): " + " | ".join(cells), flush=True)
+
+    print(f"\n{args.workload}, {args.pairs} pairs, seed {args.seed}, {seconds:g} s runs")
+    print(f"{'metric':12s} {'base q1 / median / q3':>29s} {'change q1 / median / q3':>29s}"
+          f" {'shift':>8s} {'wins':>6s} {'base IQR':>9s}")
+    for name, lower in lower_is_better.items():
+        base = [r["metrics"][name] for r in runs["base"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        bq, cq = quartiles(base), quartiles(change)
+        shift = (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
+        print(f"{name:12s} {bq[0]:9.4f} {bq[1]:9.4f} {bq[2]:9.4f} {cq[0]:9.4f} {cq[1]:9.4f} {cq[2]:9.4f}"
+              f" {shift:+8.1%} {wins:3d}/{args.pairs:<2d} {bq[2] - bq[0]:9.4f}")
+
+    digests = {side: {r["digest"] for r in runs[side]} for side in sides}
+    print(f"verdict digests: base {sorted(map(str, digests['base']))}, change {sorted(map(str, digests['change']))}")
+    correct = all(r["correct"] for side in runs.values() for r in side)
+    same = len(digests["base"]) == 1 and digests["base"] == digests["change"]
+    return 0 if correct and same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
