@@ -32,6 +32,7 @@ from .tables import (
     InvalidStructure,
     same_semiring,
     semiring_as_module,
+    semimodule_to_dict,
     validate_semimodule,
     validate_semiring,
 )
@@ -149,17 +150,7 @@ def trivial_module(semiring: FiniteSemiring) -> FiniteSemimodule:
 
 def self_module(semiring: FiniteSemiring) -> FiniteSemimodule:
     """The semiring acting on itself by multiplication (validated)."""
-    viewed = semiring_as_module(semiring)
-    return validate_semimodule(
-        semiring,
-        {
-            "name": viewed.name,
-            "size": viewed.size,
-            "zero": viewed.zero,
-            "add": [list(r) for r in viewed.add_table],
-            "action": [list(r) for r in viewed.action_table],
-        },
-    )
+    return validate_semimodule(semiring, semimodule_to_dict(semiring_as_module(semiring), include_base=False))
 
 
 def zmod_quotient_module(n: int, d: int) -> FiniteSemimodule:
@@ -206,14 +197,14 @@ def product_module(m1: FiniteSemimodule, m2: FiniteSemimodule) -> FiniteSemimodu
 def standard_modules(name: str, semiring: FiniteSemiring) -> list[FiniteSemimodule]:
     """The stock modules shipped with a builtin: trivial, self-action,
     modular reductions where the name allows, and a small componentwise square."""
-    modules = [trivial_module(semiring), self_module(semiring)]
+    own = self_module(semiring)
+    modules = [trivial_module(semiring), own]
     if m := re.fullmatch(r"zmod_(\d+)", name):
         n = int(m.group(1))
         for d in range(2, n):
             if n % d == 0:
                 modules.append(zmod_quotient_module(n, d))
     if semiring.size**3 <= 64:
-        own = self_module(semiring)
         modules.append(product_module(own, own))
     return modules
 

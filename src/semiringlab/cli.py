@@ -82,6 +82,13 @@ def _resolve_base(data: dict, path: str):
     )
 
 
+def _load_module(path: str, semiring):
+    """The module file at ``path``, over its own ``base`` or, when that is missing or null, ``semiring``."""
+    data = _load_json(path)
+    base = semiring if data.get("base") is None else _resolve_base(data, path)
+    return validate_semimodule(base, data)
+
+
 def cmd_validate(args) -> int:
     results = []
     status = 0
@@ -129,9 +136,7 @@ def cmd_validate(args) -> int:
 
 def cmd_expectation_build(args) -> int:
     semiring = validate_semiring(_load_json(args.semiring))
-    module_data = _load_json(args.module)
-    base = _resolve_base(module_data, args.module) if "base" in module_data else semiring
-    module = validate_semimodule(base, module_data)
+    module = _load_module(args.module, semiring)
     instance = build_expectation(semiring, module)
     payload = semiring_to_dict(instance.product)
     payload["pairing"] = [list(pair) for pair in instance.pairs]
@@ -200,10 +205,7 @@ def cmd_classify(args) -> int:
     data = _load_json(args.instance)
     semiring = validate_semiring(data)
     if args.module:
-        module_data = _load_json(args.module)
-        base = _resolve_base(module_data, args.module) if "base" in module_data else semiring
-        module = validate_semimodule(base, module_data)
-        target = build_expectation(semiring, module)
+        target = build_expectation(semiring, _load_module(args.module, semiring))
     else:
         target = semiring
     payload = {"schema": f"{SCHEMA_PREFIX}/class-report/1", **classify(target)}

@@ -96,11 +96,6 @@ def embed_s(instance: ExpectationInstance, s: int) -> int:
     return instance.index_of(s, instance.factor_module.zero)
 
 
-def scalar_slice(instance: ExpectationInstance) -> frozenset[int]:
-    """Product indices of the pairs (s, 0): the image of the scalar embedding."""
-    return frozenset(embed_s(instance, s) for s in instance.factor_semiring.elements())
-
-
 def box_members(instance: ExpectationInstance, scalars, vectors) -> frozenset[int]:
     """Product indices of the pairs (s, x) with s in ``scalars`` and x in ``vectors``."""
     m = instance.factor_module.size
@@ -113,10 +108,54 @@ def projections(instance: ExpectationInstance, members) -> tuple[frozenset[int],
     return frozenset([k // m for k in members]), frozenset([k % m for k in members])
 
 
+def scalar_slice(instance: ExpectationInstance) -> frozenset[int]:
+    """Product indices of the pairs (s, 0): the image of the scalar embedding."""
+    return box_members(instance, instance.factor_semiring.elements(), (instance.factor_module.zero,))
+
+
 def zero_scalar_slice(instance: ExpectationInstance) -> frozenset[int]:
     """Product indices of the pairs (0, x); this set is an ideal of the product."""
-    s_zero = instance.factor_semiring.zero
-    return frozenset(instance.index_of(s_zero, x) for x in instance.factor_module.elements())
+    return box_members(instance, (instance.factor_semiring.zero,), instance.factor_module.elements())
+
+
+def _is_graded(instance: ExpectationInstance, members: frozenset[int]) -> bool:
+    """Every member (s, x) splits into (s, 0) and (0, x), both inside the set.
+
+    With m the module size, member k = s*m + x has (s, 0) at k - x + zero_M
+    and (0, x) at zero_S*m + x.
+    """
+    m = instance.factor_module.size
+    module_zero, scalar_base = instance.factor_module.zero, instance.factor_semiring.zero * m
+    for k in members:
+        x = k % m
+        if k - x + module_zero not in members or scalar_base + x not in members:
+            return False
+    return True
+
+
+def _full_module_box_scalars(instance: ExpectationInstance, members: frozenset[int]) -> frozenset[int] | None:
+    """The scalar projection of ``members`` if boxing it with the whole module gives the set back."""
+    scalar = projections(instance, members)[0]
+    return scalar if box_members(instance, scalar, instance.factor_module.elements()) == members else None
+
+
+def _first_degree_overflow(product: FiniteSemiring, slices, parts) -> tuple[int, int, int, int] | None:
+    """First ``(i, j, a, b)`` with a in ``slices[i]``, b in ``parts[j]`` and ab outside degree i + j.
+
+    Degree d is ``parts[d]`` below 2 and {zero} from 2 on.  With the slices
+    (T0, T1) as ``parts`` this is the degree law of the grading; with the
+    degree parts of a box it says the box absorbs products.
+    """
+    mul = product.mul_table
+    targets = (*parts, frozenset({product.zero}))
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        target = targets[i + j]
+        for a in slices[i]:
+            row = mul[a]
+            for b in parts[j]:
+                if row[b] not in target:
+                    return i, j, a, b
+    return None
 
 
 def zero_m_ideal_nilpotency(instance: ExpectationInstance) -> int:
@@ -186,21 +225,16 @@ def graded_decomposition(instance: ExpectationInstance) -> GradedDecomposition:
     t0 = scalar_slice(instance)
     t1 = zero_scalar_slice(instance)
 
-    add, mul = product.add_table, product.mul_table
+    add = product.add_table
     hits = Counter([add[a][b] for a in t0 for b in t1])
     for k in product.elements():
         if hits[k] != 1:
             raise RuntimeError(f"element {instance.pair_of(k)} has {hits[k]} degree decompositions")
 
-    targets = {(0, 0): t0, (0, 1): t1, (1, 0): t1, (1, 1): frozenset({product.zero})}
-    slices = {0: t0, 1: t1}
-    for (i, j), allowed in targets.items():
-        for a in slices[i]:
-            row = mul[a]
-            for b in slices[j]:
-                if row[b] not in allowed:
-                    raise RuntimeError(
-                        f"degree {i} times degree {j} escapes degree {i + j} at "
-                        f"{instance.pair_of(a)} * {instance.pair_of(b)}"
-                    )
+    overflow = _first_degree_overflow(product, (t0, t1), (t0, t1))
+    if overflow:
+        i, j, a, b = overflow
+        raise RuntimeError(
+            f"degree {i} times degree {j} escapes degree {i + j} at {instance.pair_of(a)} * {instance.pair_of(b)}"
+        )
     return GradedDecomposition(t0=Subset(product, t0), t1=Subset(product, t1))

@@ -201,16 +201,31 @@ def _first_noncommutative(table: Table, n: int) -> tuple[int, int] | None:
     return None
 
 
-def first_nonassociative(table: Table, n: int) -> tuple[int, int, int] | None:
-    """First ``(a, b, c)`` with ``(a b) c != a (b c)``, or None."""
-    for a in range(n):
-        ra = table[a]
-        for b in range(n):
-            ab = ra[b]
-            rb = table[b]
-            for c in range(n):
-                if table[ab][c] != ra[rb[c]]:
+def first_nonassociative(mul: Table, act: Table) -> tuple[int, int, int] | None:
+    """First ``(a, b, c)`` with ``act[mul[a][b]][c] != act[a][act[b][c]]``, or None.
+
+    Associativity of a table ``t`` is ``(t, t)``; the module law
+    ``(st)x = s(tx)`` is ``(base.mul_table, action)``.
+    """
+    for a, mul_a in enumerate(mul):
+        act_a = act[a]
+        for b, ab in enumerate(mul_a):
+            act_ab = act[ab]
+            for c, bc in enumerate(act[b]):
+                if act_ab[c] != act_a[bc]:
                     return (a, b, c)
+    return None
+
+
+def _first_bad_scalar_sum(s_add: Table, add: Table, act: Table) -> tuple[int, int, int] | None:
+    """First ``(s, t, x)`` with ``(s + t)x != sx + tx``, or None."""
+    for s, add_s in enumerate(s_add):
+        act_s = act[s]
+        for t, st in enumerate(add_s):
+            act_t, act_st = act[t], act[st]
+            for x, sx in enumerate(act_s):
+                if act_st[x] != add[sx][act_t[x]]:
+                    return (s, t, x)
     return None
 
 
@@ -242,7 +257,7 @@ def _monoid_violations(table: Table, n: int, e: int, op: str) -> list[AxiomViola
     scans = (
         ("identity", _first_bad_identity(table, n, e)),
         ("commutativity", _first_noncommutative(table, n)),
-        ("associativity", first_nonassociative(table, n)),
+        ("associativity", first_nonassociative(table, table)),
     )
     return [AxiomViolation(f"{op}_{law}", w) for law, w in scans if w]
 
@@ -342,23 +357,12 @@ def _scan_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[Table, Table,
             violations.append(AxiomViolation("action_zero_module", (s,)))
             break
 
-    def scan(holds):
-        for s in range(n):
-            for t in range(n):
-                for x in range(m):
-                    if not holds(s, t, x):
-                        return (s, t, x)
-        return None
-
-    w = first_nondistributive(add, action)
-    if w:
-        violations.append(AxiomViolation("action_add_module", w))
-    w = scan(lambda s, t, x: action[base.add(s, t)][x] == add[action[s][x]][action[t][x]])
-    if w:
-        violations.append(AxiomViolation("action_add_scalar", w))
-    w = scan(lambda s, t, x: action[base.mul(s, t)][x] == action[s][action[t][x]])
-    if w:
-        violations.append(AxiomViolation("action_mul_scalar", w))
+    scans = (
+        ("action_add_module", first_nondistributive(add, action)),
+        ("action_add_scalar", _first_bad_scalar_sum(base.add_table, add, action)),
+        ("action_mul_scalar", first_nonassociative(base.mul_table, action)),
+    )
+    violations += [AxiomViolation(law, w) for law, w in scans if w]
     return add, action, violations
 
 

@@ -19,6 +19,9 @@ from functools import cached_property
 from . import catalog
 from .construct import (
     ExpectationInstance,
+    _first_degree_overflow,
+    _full_module_box_scalars,
+    _is_graded,
     box_members,
     build_expectation,
     embed_s,
@@ -36,7 +39,6 @@ from .ideals import (
     NotASubmodule,
     Subsemimodule,
     annihilator,
-    box_ideal,
     enumerate_ideals,
     enumerate_subsemimodules,
     ideal_violation,
@@ -248,25 +250,19 @@ class PairContext:
         return self.product_census.nilpotents.members
 
 
-def _is_graded(ctx: PairContext, members: frozenset[int]) -> bool:
-    """Every member (s, x) splits into (s, 0) and (0, x), both inside the set.
+def _first_non_box(ctx: PairContext, role: str, ideals, qualifies) -> dict | None:
+    """FAIL witness for the first of ``ideals`` that is not I x M with ``qualifies(I)``, or None.
 
-    With m the module size, member k = s*m + x has (s, 0) at k - x + zero_M
-    and (0, x) at zero_S*m + x.
+    The witness is ``{role: pairs}`` when the ideal is no full-module box and
+    ``{"scalar_part": I}`` when its scalar part I does not qualify.
     """
-    m = ctx.module.size
-    module_zero, scalar_base = ctx.module.zero, ctx.semiring.zero * m
-    for k in members:
-        x = k % m
-        if k - x + module_zero not in members or scalar_base + x not in members:
-            return False
-    return True
-
-
-def _full_module_box_scalars(ctx: PairContext, members: frozenset[int]) -> frozenset[int] | None:
-    """The scalar projection of ``members`` if boxing it with the whole module gives the set back."""
-    scalar = projections(ctx.instance, members)[0]
-    return scalar if box_members(ctx.instance, scalar, ctx.full_module.members) == members else None
+    for j in ideals:
+        scalar = _full_module_box_scalars(ctx.instance, j.members)
+        if scalar is None:
+            return {role: ctx.pairs_of(j.members)}
+        if not qualifies(ctx.ideal("scalar", scalar)):
+            return {"scalar_part": sorted(scalar)}
+    return None
 
 
 def _annihilator_condition_violations(
@@ -297,8 +293,7 @@ def check_embedding(ctx: PairContext):
     emb = {s: embed_s(ctx.instance, s) for s in s_ring.elements()}
     if emb[s_ring.zero] != e_ring.zero or emb[s_ring.one] != e_ring.one:
         return FAIL, {"reason": "identities not preserved"}
-    image = set(emb.values())
-    if len(image) != s_ring.size:
+    if len(set(emb.values())) != s_ring.size:
         return FAIL, {"reason": "embedding not injective"}
     for s in s_ring.elements():
         for t in s_ring.elements():
@@ -306,10 +301,6 @@ def check_embedding(ctx: PairContext):
                 return FAIL, {"law": "add", "s": s, "t": t}
             if e_ring.mul(emb[s], emb[t]) != emb[s_ring.mul(s, t)]:
                 return FAIL, {"law": "mul", "s": s, "t": t}
-    for a in image:
-        for b in image:
-            if e_ring.add(a, b) not in image or e_ring.mul(a, b) not in image:
-                return FAIL, {"reason": "image not closed", "a": ctx.pair(a), "b": ctx.pair(b)}
     return PASS, None
 
 
@@ -339,8 +330,7 @@ def check_grading(ctx: PairContext):
 
 def check_box_ideal_iff(ctx: PairContext):
     e_ring = ctx.product
-    t0 = scalar_slice(ctx.instance)
-    t1 = ctx.t1_set
+    t0, t1 = scalar_slice(ctx.instance), ctx.t1_set
     legal_boxes = {(i.members, n.members) for i, n, _box in ctx.boxables}
     for i in ctx.ideals_s:
         for n in ctx.submods_m:
@@ -351,23 +341,14 @@ def check_box_ideal_iff(ctx: PairContext):
                 return FAIL, {"ideal": sorted(i.members), "submodule": sorted(n.members)}
             if not legal:
                 continue
-            if not _is_graded(ctx, members):
+            if not _is_graded(ctx.instance, members):
                 return FAIL, {"reason": "box not graded", "ideal": sorted(i.members)}
-            j0 = members & t0
-            j1 = members & t1
-            degree_targets = [(t0, j0, j0), (t0, j1, j1), (t1, j0, j1), (t1, j1, {e_ring.zero})]
-            for left, right, target in degree_targets:
-                for a in left:
-                    row = e_ring.mul_table[a]
-                    for b in right:
-                        if row[b] not in target:
-                            return FAIL, {
-                                "reason": "degree overflow",
-                                "a": ctx.pair(a),
-                                "b": ctx.pair(b),
-                            }
+            overflow = _first_degree_overflow(e_ring, (t0, t1), (members & t0, members & t1))
+            if overflow:
+                _i, _j, a, b = overflow
+                return FAIL, {"reason": "degree overflow", "a": ctx.pair(a), "b": ctx.pair(b)}
     for j in ctx.ideals_e:
-        if not _is_graded(ctx, j.members):
+        if not _is_graded(ctx.instance, j.members):
             continue
         if box_members(ctx.instance, *projections(ctx.instance, j.members)) != j.members:
             return FAIL, {"reason": "graded ideal is not a box", "ideal": ctx.pairs_of(j.members)}
@@ -405,7 +386,7 @@ def check_subtractive_over_slice(ctx: PairContext):
     for j in ctx.ideals_e:
         if not (ctx.once(is_subtractive, j) and ctx.t1_set <= j.members):
             continue
-        if _full_module_box_scalars(ctx, j.members) is None:
+        if _full_module_box_scalars(ctx.instance, j.members) is None:
             return FAIL, {"ideal": ctx.pairs_of(j.members)}
     return PASS, None
 
@@ -418,16 +399,10 @@ def check_primes_contain_slice(ctx: PairContext):
 
 
 def check_subtractive_primes_are_boxes(ctx: PairContext):
-    for p in ctx.primes_e:
-        if not ctx.once(is_subtractive, p):
-            continue
-        scalar = _full_module_box_scalars(ctx, p.members)
-        if scalar is None:
-            return FAIL, {"prime": ctx.pairs_of(p.members)}
-        base = ctx.ideal("scalar", scalar)
-        if not (base.is_proper() and ctx.once(is_prime, base) and ctx.once(is_subtractive, base)):
-            return FAIL, {"scalar_part": sorted(scalar)}
-    return PASS, None
+    subtractive = (p for p in ctx.primes_e if ctx.once(is_subtractive, p))
+    qualifies = lambda i: i.is_proper() and ctx.once(is_prime, i) and ctx.once(is_subtractive, i)
+    witness = _first_non_box(ctx, "prime", subtractive, qualifies)
+    return (FAIL, witness) if witness else (PASS, None)
 
 
 def check_subtractive_transfer(ctx: PairContext):
@@ -446,22 +421,13 @@ def check_weak_gaussian_shapes(ctx: PairContext):
     # ideals.is_weak_gaussian on the product, read from the cell's primes and memo
     if not all(ctx.once(is_subtractive, p) for p in ctx.primes_e):
         return NA, None
-    for p in ctx.primes_e:
-        scalar = _full_module_box_scalars(ctx, p.members)
-        if scalar is None:
-            return FAIL, {"prime": ctx.pairs_of(p.members)}
-        base = ctx.ideal("scalar", scalar)
-        if not (ctx.once(is_prime, base) and ctx.once(is_subtractive, base)):
-            return FAIL, {"scalar_part": sorted(scalar)}
-    maximals = [j for j in ctx.ideals_e if j.is_proper() and is_maximal(j, ctx.ideals_e)]
-    for j in maximals:
-        scalar = _full_module_box_scalars(ctx, j.members)
-        if scalar is None:
-            return FAIL, {"maximal": ctx.pairs_of(j.members)}
-        base = ctx.ideal("scalar", scalar)
-        if not (is_maximal(base, ctx.ideals_s) and ctx.once(is_subtractive, base)):
-            return FAIL, {"scalar_part": sorted(scalar)}
-    return PASS, None
+    prime_qualifies = lambda i: ctx.once(is_prime, i) and ctx.once(is_subtractive, i)
+    witness = _first_non_box(ctx, "prime", ctx.primes_e, prime_qualifies)
+    if witness is None:
+        maximals = [j for j in ctx.ideals_e if j.is_proper() and is_maximal(j, ctx.ideals_e)]
+        maximal_qualifies = lambda i: is_maximal(i, ctx.ideals_s) and ctx.once(is_subtractive, i)
+        witness = _first_non_box(ctx, "maximal", maximals, maximal_qualifies)
+    return (FAIL, witness) if witness else (PASS, None)
 
 
 def check_weakly_prime_lift(ctx: PairContext):
@@ -780,10 +746,8 @@ def weakly_prime_forward_probe() -> dict:
     """
     semiring = catalog.builtin("zmod_4").structure
     module = catalog.self_module(semiring)
-    instance = build_expectation(semiring, module)
-    ideal = Ideal(semiring, frozenset({0, 2}))
-    box = box_ideal(instance, ideal, Subsemimodule(module, frozenset(module.elements())))
-    box_wp = is_weakly_prime(box)
+    ctx = PairContext("E(zmod_4, zmod_4)", semiring, module)
+    box_wp = is_weakly_prime(ctx.full_module_boxes[frozenset({0, 2})])
     violating = _annihilator_condition_violations(semiring, module)
     condition_holds = not violating
     return {

@@ -92,6 +92,20 @@ def test_validate_reports_a_bad_module_base_and_goes_on(capsys, tmp_path, z4_fil
     assert base in results[0]["error"]
 
 
+def test_a_null_module_base_falls_back_to_the_semiring(capsys, tmp_path, z4_file):
+    data = semimodule_to_dict(zmod_quotient_module(4, 2), include_base=False)
+    outputs = []
+    for name, module in (("absent", data), ("null", dict(data, base=None))):
+        path = write(tmp_path / f"{name}.json", module)
+        out_file = tmp_path / f"e_{name}.json"
+        assert main(["expectation-build", "--semiring", z4_file, "--module", path, "--out", str(out_file)]) == 0
+        assert main(["classify", "--instance", z4_file, "--module", path]) == 0
+        # the first line, "built ... -> <out>", names the output file
+        outputs.append((out_file.read_text(), capsys.readouterr().out.splitlines()[1:]))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][0])["size"] == 8
+
+
 def test_ideals_refuses_a_carrier_past_the_bound(capsys, tmp_path):
     path = write(tmp_path / "chain.json", semiring_to_dict(builtin("chain_64").structure))
     assert main(["ideals", "--instance", path]) == 1

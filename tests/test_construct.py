@@ -121,6 +121,18 @@ def test_degree_one_times_degree_one_vanishes():
     assert products == {inst.product.zero}
 
 
+def test_degree_law_failure_names_the_offending_pair():
+    inst = zmod4_pair()
+    product = inst.product
+    a, b = inst.index_of(0, 1), inst.index_of(0, 2)
+    rows = [list(row) for row in product.mul_table]
+    rows[a][b] = inst.index_of(0, 3)  # (0, 1)(0, 2) is (0, 0) in the product
+    broken = replace(inst, product=replace(product, mul_table=tuple(map(tuple, rows))))
+    with pytest.raises(RuntimeError) as err:
+        graded_decomposition(broken)
+    assert str(err.value) == "degree 1 times degree 1 escapes degree 2 at (0, 1) * (0, 2)"
+
+
 def test_every_pair_decomposes_uniquely():
     for _name, semiring, module in builtin_pairs():
         graded_decomposition(build_expectation(semiring, module))

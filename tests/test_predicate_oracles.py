@@ -8,8 +8,14 @@ repeats, and nothing is shared with the library's scans.  On every
 carrier of at most ``WITNESS_CARRIER`` elements the first witness of the
 ideal and subsemimodule closure tests is compared on every subset.  The
 product coordinates (boxes, projections and the graded test) are compared
-with their definitions through the pair bijection on every cell.
+with their definitions through the pair bijection on every cell.  The
+action-law scans are compared with literal ``s, t, x`` loops on every
+self-action and module of order at most 3 over the order-2/3 semirings, and
+on seeded corruptions of their action tables.
 """
+
+import itertools
+import random
 
 import pytest
 
@@ -21,6 +27,8 @@ from semiringlab import (
     build_expectation,
     default_grid,
     enumerate_ideals,
+    enumerate_semimodules,
+    enumerate_semirings,
     enumerate_subsemimodules,
     is_primary,
     is_primary_submodule,
@@ -29,10 +37,14 @@ from semiringlab import (
     is_weakly_prime,
     radical,
     residual,
+    semimodule_to_dict,
+    semimodule_violations,
+    semiring_as_module,
 )
-from semiringlab.construct import box_members, projections
+from semiringlab.construct import _is_graded, box_members, projections
 from semiringlab.ideals import ideal_violation, submodule_violation
-from semiringlab.theorems import PairContext, _is_graded
+from semiringlab.tables import first_nonassociative
+from semiringlab.theorems import PairContext
 
 WITNESS_CARRIER = 9
 
@@ -326,7 +338,62 @@ def test_product_coordinates_match_pair_definitions_on_default_grid():
             expected = (frozenset(s for s, _x in pairs), frozenset(x for _s, x in pairs))
             assert projections(instance, j.members) == expected, cell.label
             splits = all(index_of(s, m_zero) in j.members and index_of(s_zero, x) in j.members for s, x in pairs)
-            assert _is_graded(ctx, j.members) == splits, (cell.label, sorted(j.members))
+            assert _is_graded(ctx.instance, j.members) == splits, (cell.label, sorted(j.members))
             graded += splits
             total += 1
     assert 0 < graded < total
+
+
+
+ACTION_LAWS = ("action_add_module", "action_add_scalar", "action_mul_scalar")
+
+
+def literal_action_witnesses(base, add, action):
+    """First witness of each three-index action law, from a literal loop over its definition."""
+    scalars, vectors = range(base.size), range(len(add))
+    laws = {
+        "action_add_module": (
+            (scalars, vectors, vectors),
+            lambda s, x, y: action[s][add[x][y]] == add[action[s][x]][action[s][y]],
+        ),
+        "action_add_scalar": (
+            (scalars, scalars, vectors),
+            lambda s, t, x: action[base.add(s, t)][x] == add[action[s][x]][action[t][x]],
+        ),
+        "action_mul_scalar": (
+            (scalars, scalars, vectors),
+            lambda s, t, x: action[base.mul(s, t)][x] == action[s][action[t][x]],
+        ),
+    }
+    out = {}
+    for law, ((first, second, third), holds) in laws.items():
+        for triple in itertools.product(first, second, third):
+            if not holds(*triple):
+                out[law] = triple
+                break
+    return out
+
+
+def test_action_law_scans_match_literal_loops():
+    rng = random.Random(7)
+    modules = []
+    for n in (2, 3):
+        for entry in enumerate_semirings(n):
+            semiring = entry.structure
+            modules.append(semiring_as_module(semiring))  # (mul, mul): associativity of the table
+            modules += [m.structure for order in (1, 2, 3) for m in enumerate_semimodules(semiring, order)]
+    broken = 0
+    for module in modules:
+        base = module.base
+        for trial in range(4):
+            data = semimodule_to_dict(module, include_base=False)
+            rows = data["action"]
+            if trial:  # trial 0 keeps the valid table
+                rows[rng.randrange(base.size)][rng.randrange(module.size)] = rng.randrange(module.size)
+            expected = literal_action_witnesses(base, module.add_table, rows)
+            assert first_nonassociative(base.mul_table, rows) == expected.get("action_mul_scalar"), module.name
+            got = {v.axiom: v.witness for v in semimodule_violations(base, data) if v.axiom in ACTION_LAWS}
+            assert got == expected, (module.name, rows)
+            assert trial or not got
+            broken += bool(got)
+    assert len(modules) > 50 and broken > 50

@@ -248,3 +248,10 @@ def test_action_add_module_witness_is_pinned():
         ("action_add_module", (1, 1, 2)),
         ("action_mul_scalar", (1, 1, 1)),
     ]
+
+
+def test_action_add_scalar_witness_is_pinned():
+    # boolean scalars on the two-element group: (1+1)1 = 1 but 1*1 + 1*1 = 0
+    base = validate_semiring(BOOLEAN)
+    data = {"size": 2, "zero": 0, "add": [[0, 1], [1, 0]], "action": [[0, 0], [0, 1]]}
+    assert [(v.axiom, v.witness) for v in semimodule_violations(base, data)] == [("action_add_scalar", (1, 1, 1))]

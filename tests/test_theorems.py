@@ -248,3 +248,35 @@ def test_product_check_lists_violated_axioms_of_a_broken_module():
     )
     ctx = PairContext(label="E(boolean, dead)", semiring=b, module=dead)
     assert check_product_is_semiring(ctx) == (FAIL, ["mul_identity(1)"])
+
+
+# The even ideal boxed with the whole module: the one prime and maximal ideal of E(zmod_4, zmod_4).
+EVEN_BOX = [[s, x] for s in (0, 2) for x in range(4)]
+REAL_IS_PRIME, REAL_IS_MAXIMAL = ideals.is_prime, ideals.is_maximal
+
+
+@pytest.mark.parametrize(
+    "patches, expected",
+    [
+        ({"_full_module_box_scalars": lambda *args: None},
+         {"Thm-2.6-7": {"prime": EVEN_BOX}, "Cor-2.8": {"prime": EVEN_BOX}}),
+        ({"is_prime": lambda ideal: ideal.parent.size == 16 and REAL_IS_PRIME(ideal)},
+         {"Thm-2.6-7": {"scalar_part": [0, 2]}, "Cor-2.8": {"scalar_part": [0, 2]}}),
+        ({"is_prime": lambda ideal: False, "_full_module_box_scalars": lambda *args: None},
+         {"Thm-2.6-7": None, "Cor-2.8": {"maximal": EVEN_BOX}}),
+        ({"is_prime": lambda ideal: False,
+          "is_maximal": lambda ideal, among: ideal.parent.size == 16 and REAL_IS_MAXIMAL(ideal, among)},
+         {"Thm-2.6-7": None, "Cor-2.8": {"scalar_part": [0, 2]}}),
+    ],
+    ids=["no-box", "scalar-part-not-prime", "maximal-no-box", "scalar-part-not-maximal"],
+)
+def test_full_module_box_witnesses_are_pinned(monkeypatch, patches, expected):
+    for name, fn in patches.items():
+        monkeypatch.setattr(theorems, name, fn)
+    z4 = builtin("zmod_4").structure
+    records, _census = run_pair("E(zmod_4, zmod_4)", z4, self_module(z4))
+    got = {r.theorem: r.witness for r in records if r.theorem in expected}
+    assert got == expected
+    assert {r.theorem: r.status for r in records if r.theorem in expected} == {
+        theorem: PASS if witness is None else FAIL for theorem, witness in expected.items()
+    }

@@ -63,6 +63,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     with open(args.base / "BENCHMARK.json", encoding="utf-8") as handle:
         bench = json.load(handle)
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
