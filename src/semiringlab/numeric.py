@@ -22,7 +22,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 TOL_REL = 1e-9
 TOL_ABS = 1e-12
@@ -113,8 +113,7 @@ def lift_edge(p: float, v: Sequence[float]) -> NumericWeight:
     return NumericWeight(p, tuple(p * x for x in v))
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     src: str
     dst: str
     p: float
@@ -127,8 +126,9 @@ class WeightedDag:
 
     Edges carry unlifted data; lifting happens inside the traversals, and
     anything weight-shaped on an edge is rejected to prevent double lifting.
-    Load builds the outgoing-edge index (each node's edges in input order)
-    and the topological order in O(V + E); ``outgoing`` is a lookup.
+    Load walks the edges once to check them, index each under its source
+    (input order) and count in-degrees, then reads Kahn's order off the
+    counts: O(V + E) in all, and ``outgoing`` is a lookup.
     """
 
     dim: int
@@ -138,49 +138,44 @@ class WeightedDag:
     edges: tuple[GraphEdge, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.nodes)) != len(self.nodes):
-            raise InvalidGraph("duplicate node labels")
-        known = set(self.nodes)
-        if self.source not in known or self.sink not in known:
-            raise InvalidGraph("source and sink must be declared nodes")
         out: dict[str, list[GraphEdge]] = {node: [] for node in self.nodes}
+        if len(out) != len(self.nodes):
+            raise InvalidGraph("duplicate node labels")
+        source, sink, dim = self.source, self.sink, self.dim
+        if source not in out or sink not in out:
+            raise InvalidGraph("source and sink must be declared nodes")
+        incoming = dict.fromkeys(self.nodes, 0)
         for e in self.edges:
-            if isinstance(e.p, NumericWeight) or isinstance(e.v, NumericWeight):
+            src, dst, p, v = e
+            if isinstance(p, NumericWeight) or isinstance(v, NumericWeight):
                 raise InvalidGraph("edges carry raw (p, v) data; pre-lifted weights are rejected")
-            if e.src not in known or e.dst not in known:
-                raise InvalidGraph(f"edge {e.src}->{e.dst} references unknown nodes")
-            if not (math.isfinite(e.p) and all(map(math.isfinite, e.v))):
-                raise InvalidGraph(f"edge {e.src}->{e.dst} has non-finite data p={e.p} v={list(e.v)}")
-            if not float(e.p) >= 0.0:
-                raise InvalidGraph(f"edge {e.src}->{e.dst} has negative mass {e.p}")
-            if len(e.v) != self.dim:
-                raise InvalidGraph(
-                    f"edge {e.src}->{e.dst} vector has dimension {len(e.v)}, expected {self.dim}"
-                )
-            if e.dst == self.source:
+            if src not in out or dst not in out:
+                raise InvalidGraph(f"edge {src}->{dst} references unknown nodes")
+            if not (math.isfinite(p) and all(map(math.isfinite, v))):
+                raise InvalidGraph(f"edge {src}->{dst} has non-finite data p={p} v={list(v)}")
+            if not p >= 0.0:
+                raise InvalidGraph(f"edge {src}->{dst} has negative mass {p}")
+            if len(v) != dim:
+                raise InvalidGraph(f"edge {src}->{dst} vector has dimension {len(v)}, expected {dim}")
+            if dst == source:
                 raise InvalidGraph("the source must have no incoming edges")
-            if e.src == self.sink:
+            if src == sink:
                 raise InvalidGraph("the sink must have no outgoing edges")
-            out[e.src].append(e)
-        object.__setattr__(self, "_out", {node: tuple(es) for node, es in out.items()})
-        object.__setattr__(self, "_topo", self._toposort())
-
-    def _toposort(self) -> tuple[str, ...]:
-        incoming = {node: 0 for node in self.nodes}
-        for e in self.edges:
-            incoming[e.dst] += 1
-        ready = deque(node for node in self.nodes if incoming[node] == 0)
+            out[src].append(e)
+            incoming[dst] += 1
+        ready = deque(node for node, count in incoming.items() if count == 0)
         order = []
         while ready:
             node = ready.popleft()
             order.append(node)
-            for e in self._out[node]:  # type: ignore[attr-defined]
+            for e in out[node]:
                 incoming[e.dst] -= 1
                 if incoming[e.dst] == 0:
                     ready.append(e.dst)
         if len(order) != len(self.nodes):
             raise CycleDetected("edge list contains a directed cycle")
-        return tuple(order)
+        object.__setattr__(self, "_out", {node: tuple(es) for node, es in out.items()})
+        object.__setattr__(self, "_topo", tuple(order))
 
     @property
     def topological_order(self) -> tuple[str, ...]:
@@ -199,7 +194,7 @@ def _edge_from_dict(e: Mapping) -> GraphEdge:
         raise InvalidGraph(f"edge {src}->{dst}: 'p' must be a number, got {p!r}")
     if type(v) is not list or not _NUMBER_TYPES.issuperset(map(type, v)):
         raise InvalidGraph(f"edge {src}->{dst}: 'v' must be a list of numbers, got {v!r}")
-    return GraphEdge(src=src, dst=dst, p=float(p), v=tuple(map(float, v)))
+    return GraphEdge(src, dst, float(p), tuple(map(float, v)))
 
 
 def graph_from_dict(data: Mapping) -> WeightedDag:
@@ -295,8 +290,15 @@ def brute_force_total(g: WeightedDag, max_paths: int = 20) -> NumericWeight:
     """Independent oracle: enumerate every path explicitly.
 
     Each path contributes (prod p, (prod p) * (sum v)) computed directly on
-    floats, bypassing the weight multiplication used by forward_total.
+    floats, bypassing the weight multiplication used by forward_total.  The
+    walk enters only nodes that reach the sink (found in one reverse
+    topological pass), so every partial path ends in a counted path and
+    ``max_paths`` bounds the work even on graphs with dead ends.
     """
+    live = {g.sink}
+    for node in reversed(g.topological_order):
+        if any(e.dst in live for e in g.outgoing(node)):
+            live.add(node)
     total = wzero(g.dim)
     seen = 0
     stack: list[tuple[str, float, tuple[float, ...]]] = [(g.source, 1.0, (0.0,) * g.dim)]
@@ -309,7 +311,8 @@ def brute_force_total(g: WeightedDag, max_paths: int = 20) -> NumericWeight:
             total = wadd(total, NumericWeight(mass, tuple(mass * x for x in vec)))
             continue
         for e in g.outgoing(node):
-            stack.append((e.dst, mass * e.p, tuple(a + b for a, b in zip(vec, e.v))))
+            if e.dst in live:
+                stack.append((e.dst, mass * e.p, tuple(a + b for a, b in zip(vec, e.v))))
     return total
 
 

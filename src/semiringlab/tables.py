@@ -167,30 +167,26 @@ def same_semimodule(a: FiniteSemimodule, b: FiniteSemimodule) -> bool:
     )
 
 
-def _parse_table(rows: object, n_rows: int, n_cols: int, what: str) -> Table:
+def _parse_table(rows: object, n_rows: int, n_cols: int, what: str) -> tuple[Table, list[AxiomViolation]]:
+    """Copy ``rows`` into a table; one ``<what>_entry_range`` violation per entry not in 0..n_cols-1."""
     if not isinstance(rows, (list, tuple)) or len(rows) != n_rows:
         raise SizeMismatch(f"{what} table must have {n_rows} rows")
-    out = []
+    out, bad = [], []
     for r, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or len(row) != n_cols:
             raise SizeMismatch(f"{what} table row {r} must have {n_cols} entries")
-        out.append(tuple(row))
-    return tuple(out)
+        row = tuple(row)
+        out.append(row)
+        for c, v in enumerate(row):
+            # _is_int inlined: this runs once per table entry
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_cols:
+                bad.append(AxiomViolation(f"{what}_entry_range", (r, c)))
+    return tuple(out), bad
 
 
 def _is_int(v: object) -> bool:
     """An int that is not a bool: JSON ``true``/``false`` load as bools, a subclass of int."""
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _entry_violations(table: Table, size: int, axiom: str) -> list[AxiomViolation]:
-    out = []
-    for r, row in enumerate(table):
-        for c, v in enumerate(row):
-            # _is_int inlined: this runs once per table entry
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size:
-                out.append(AxiomViolation(axiom, (r, c)))
-    return out
 
 
 def _first_noncommutative(table: Table, n: int) -> tuple[int, int] | None:
@@ -271,11 +267,9 @@ def _scan_semiring(data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
     for label, v in (("zero", zero), ("one", one)):
         if not _is_int(v) or not 0 <= v < n:
             raise SizeMismatch(f"{label} must be an index in 0..{n - 1}")
-    add = _parse_table(data.get("add"), n, n, "add")
-    mul = _parse_table(data.get("mul"), n, n, "mul")
-
-    violations = _entry_violations(add, n, "add_entry_range")
-    violations += _entry_violations(mul, n, "mul_entry_range")
+    add, violations = _parse_table(data.get("add"), n, n, "add")
+    mul, bad_entries = _parse_table(data.get("mul"), n, n, "mul")
+    violations += bad_entries
     if violations:
         return add, mul, violations
 
@@ -335,11 +329,9 @@ def _scan_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[Table, Table,
             # string bases are references (builtin name or path) the caller resolves
             raise BaseMismatch("base must be an embedded semiring object or a reference string")
     n = base.size
-    add = _parse_table(data.get("add"), m, m, "add")
-    action = _parse_table(data.get("action"), n, m, "action")
-
-    violations = _entry_violations(add, m, "add_entry_range")
-    violations += _entry_violations(action, m, "action_entry_range")
+    add, violations = _parse_table(data.get("add"), m, m, "add")
+    action, bad_entries = _parse_table(data.get("action"), n, m, "action")
+    violations += bad_entries
     if violations:
         return add, action, violations
 

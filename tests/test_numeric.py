@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -236,7 +237,7 @@ def test_unreachable_sink_gives_zero():
 
 
 def test_cycle_rejected_at_load():
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CycleDetected, match=r"^edge list contains a directed cycle$"):
         graph_from_dict(
             {
                 "d": 0,
@@ -513,7 +514,7 @@ def test_integer_edge_data_loads_as_floats():
 
 
 def test_prelifted_weights_rejected():
-    with pytest.raises(InvalidGraph):
+    with pytest.raises(InvalidGraph, match=r"^edges carry raw \(p, v\) data; pre-lifted weights are rejected$"):
         WeightedDag(
             dim=1,
             nodes=("s", "t"),
@@ -549,3 +550,103 @@ def test_random_dag_respects_bounds():
         assert len(g.nodes) <= 8
         assert count_paths(g) <= 20
         assert g.dim <= 3
+
+
+GRAPH = {"d": 1, "nodes": ["s", "a", "t"], "source": "s", "sink": "t", "edges": []}
+
+
+def edge(src, dst, p=1.0, v=(0.0,)):
+    return {"from": src, "to": dst, "p": p, "v": list(v)}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"nodes": ["s", "a", "s", "t"]}, "duplicate node labels"),
+        ({"source": "x"}, "source and sink must be declared nodes"),
+        ({"sink": "x"}, "source and sink must be declared nodes"),
+        ({"edges": [edge("s", "x")]}, "edge s->x references unknown nodes"),
+        ({"edges": [edge("x", "t")]}, "edge x->t references unknown nodes"),
+        ({"edges": [edge("s", "t", p=-1.0)]}, "edge s->t has negative mass -1.0"),
+        ({"edges": [edge("s", "t", v=(0.0, 1.0))]}, "edge s->t vector has dimension 2, expected 1"),
+        ({"edges": [edge("a", "s")]}, "the source must have no incoming edges"),
+        ({"edges": [edge("t", "a")]}, "the sink must have no outgoing edges"),
+        # two faults on one edge: the earlier check in the documented order wins
+        ({"nodes": ["s", "s"], "source": "x"}, "duplicate node labels"),
+        ({"edges": [edge("x", "s", p=-1.0)]}, "edge x->s references unknown nodes"),
+        ({"edges": [edge("s", "t", p=-math.inf)]}, "edge s->t has non-finite data p=-inf v=[0.0]"),
+        ({"edges": [edge("s", "t", p=-1.0, v=(0.0, 1.0))]}, "edge s->t has negative mass -1.0"),
+        ({"edges": [edge("a", "s", v=())]}, "edge a->s vector has dimension 0, expected 1"),
+        ({"edges": [edge("t", "s")]}, "the source must have no incoming edges"),
+        # two faulty edges: the first in input order wins
+        ({"edges": [edge("s", "t", v=()), edge("s", "t", p=-1.0)]}, "edge s->t vector has dimension 0"),
+        ({"edges": [edge("s", "t", p=-1.0), edge("s", "t", v=())]}, "edge s->t has negative mass -1.0"),
+        # an edge fault wins over a directed cycle
+        ({"edges": [edge("a", "a"), edge("s", "t", p=-2.0)]}, "edge s->t has negative mass -2.0"),
+    ],
+)
+def test_graph_error_messages_are_pinned(changes, message):
+    with pytest.raises(InvalidGraph, match=re.escape(message)):
+        graph_from_dict(dict(GRAPH, **changes))
+
+
+class CountingEdges(tuple):
+    """An edge tuple that counts how often it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_load_walks_the_edge_list_once():
+    g = long_graph(count=50)
+    edges = CountingEdges(g.edges)
+    again = WeightedDag(dim=g.dim, nodes=g.nodes, source=g.source, sink=g.sink, edges=edges)
+    assert edges.walks == 1
+    assert again.topological_order == g.topological_order
+    assert all(again.outgoing(node) == g.outgoing(node) for node in g.nodes)
+
+
+def test_graph_edge_keeps_its_fields_and_repr():
+    e = GraphEdge(src="s", dst="t", p=0.5, v=(1.0,))
+    assert e == GraphEdge("s", "t", 0.5, (1.0,))
+    assert (e.src, e.dst, e.p, e.v) == ("s", "t", 0.5, (1.0,))
+    assert repr(e) == "GraphEdge(src='s', dst='t', p=0.5, v=(1.0,))"
+
+
+def ladder_graph(diamonds, closed=False):
+    """An s->t edge plus a chain of diamonds from s; its last node links to t only when closed."""
+    nodes, edges = ["s", "t", "c0"], [edge("s", "t", 0.5, (1.0,)), edge("s", "c0", 0.5, (2.0,))]
+    for k in range(diamonds):
+        nodes += [f"u{k}", f"w{k}", f"c{k + 1}"]
+        edges += [edge(f"c{k}", f"u{k}", 0.25), edge(f"c{k}", f"w{k}", 0.75),
+                  edge(f"u{k}", f"c{k + 1}"), edge(f"w{k}", f"c{k + 1}", v=(0.5,))]
+    if closed:
+        edges.append(edge(f"c{diamonds}", "t"))
+    return graph_from_dict(dict(GRAPH, nodes=nodes, edges=edges))
+
+
+def test_oracle_work_is_bounded_on_dead_ends(monkeypatch):
+    g = ladder_graph(12)
+    assert (len(g.nodes), len(g.edges), count_paths(g)) == (39, 50, 1)
+    calls = []
+    outgoing = WeightedDag.outgoing
+
+    def counted(self, node):
+        calls.append(node)
+        return outgoing(self, node)
+
+    monkeypatch.setattr(WeightedDag, "outgoing", counted)
+    assert brute_force_total(g) == forward_total(g) == NumericWeight(0.5, (0.5,))
+    # 2**12 dead-end paths through the ladder would take thousands of calls
+    assert len(calls) <= (20 + 1) * len(g.nodes)
+
+
+def test_too_many_paths_still_counts_complete_paths():
+    g = ladder_graph(5, closed=True)
+    assert count_paths(g) == 33
+    assert brute_force_total(g, max_paths=33).isclose(forward_total(g))
+    with pytest.raises(TooManyPaths, match="more than 32 source-to-sink paths"):
+        brute_force_total(g, max_paths=32)

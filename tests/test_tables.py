@@ -100,10 +100,62 @@ def test_bool_size_or_index_is_a_size_mismatch(capsys, tmp_path, kind, data, fie
     assert capsys.readouterr().out.startswith(f"{path}: ERROR {field} must be")
 
 
+def corrupt(table, entries):
+    rows = [list(row) for row in table]
+    for (r, c), value in entries.items():
+        rows[r][c] = value
+    return rows
+
+
 def test_entry_out_of_range_reported():
     data = dict(BOOLEAN, add=[[0, 1], [1, 7]])
     violations = semiring_violations(data)
     assert [(v.axiom, v.witness) for v in violations] == [("add_entry_range", (1, 1))]
+    # a bool, a float, a string, a negative index and the size itself, in both tables
+    data = dict(
+        ZMOD4,
+        add=corrupt(ZMOD4["add"], {(2, 3): 1.0, (0, 1): True}),
+        mul=corrupt(ZMOD4["mul"], {(3, 3): 4, (1, 2): "1", (3, 0): -1}),
+    )
+    expected = [
+        ("add_entry_range", (0, 1)),
+        ("add_entry_range", (2, 3)),
+        ("mul_entry_range", (1, 2)),
+        ("mul_entry_range", (3, 0)),
+        ("mul_entry_range", (3, 3)),
+    ]
+    assert [(v.axiom, v.witness) for v in semiring_violations(data)] == expected
+    with pytest.raises(InvalidStructure) as err:
+        validate_semiring(data)
+    assert [(v.axiom, v.witness) for v in err.value.violations] == expected
+    base = validate_semiring(ZMOD4)
+    module = mod2_action_data()
+    bad_module = dict(
+        module,
+        add=corrupt(module["add"], {(1, 0): False}),
+        action=corrupt(module["action"], {(3, 1): "1", (0, 1): 2, (2, 0): 1.0, (1, 1): -1}),
+    )
+    expected = [
+        ("add_entry_range", (1, 0)),
+        ("action_entry_range", (0, 1)),
+        ("action_entry_range", (1, 1)),
+        ("action_entry_range", (2, 0)),
+        ("action_entry_range", (3, 1)),
+    ]
+    assert [(v.axiom, v.witness) for v in semimodule_violations(base, bad_module)] == expected
+    with pytest.raises(InvalidStructure) as err:
+        validate_semimodule(base, bad_module)
+    assert [(v.axiom, v.witness) for v in err.value.violations] == expected
+    # a shape error in the second table still wins over bad entries in the first
+    bad_add = corrupt(ZMOD4["add"], {(0, 0): 9})
+    with pytest.raises(SizeMismatch, match="mul table must have 4 rows"):
+        semiring_violations(dict(ZMOD4, add=bad_add, mul=ZMOD4["mul"][:3]))
+    with pytest.raises(SizeMismatch, match="mul table row 2 must have 4 entries"):
+        validate_semiring(dict(ZMOD4, add=bad_add, mul=ZMOD4["mul"][:2] + [[0], [0]]))
+    with pytest.raises(SizeMismatch, match="action table row 2 must have 2 entries"):
+        semimodule_violations(
+            base, dict(module, add=[[0, True], [1, 0]], action=module["action"][:2] + [[0], [0, 1]])
+        )
 
 
 def mod2_action_data():
