@@ -44,10 +44,8 @@ from .ideals import (
     NotProper,
     Subsemimodule,
     annihilator,
-    box_ideal,
     enumerate_ideals,
     enumerate_subsemimodules,
-    ideal_projections,
     is_maximal,
     is_primary,
     is_primary_submodule,

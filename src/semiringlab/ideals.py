@@ -9,7 +9,9 @@ zero and the scalar multiples of the seed.  One absorbing pass suffices
 because the validators enforce distributivity, ``1*x = x`` and ``0*x = 0``.
 A box I x N is an ideal of the product exactly when I lies in the residual
 (N : M), the scalars carrying the whole module into N; ``residual_members``
-is the one test of that, and it decides box legality everywhere.  Each
+is the one test of that, and it decides box legality everywhere.  The box
+and projection member sets come from ``construct``; the ``Ideal`` and
+``Subsemimodule`` constructors validate them.  Each
 predicate has one scan: prime and weakly prime share one, and an ideal is
 primary exactly when it is a primary subsemimodule of the self-module.
 Enumeration is Ganter's NextClosure (*Two basic algorithms in concept
@@ -24,18 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .construct import ExpectationInstance, box_members, projections
-from .tables import (
-    BaseMismatch,
-    FiniteSemimodule,
-    FiniteSemiring,
-    Subset,
-    Table,
-    additive_closure,
-    same_semimodule,
-    same_semiring,
-    semiring_as_module,
-)
+from .tables import FiniteSemimodule, FiniteSemiring, Subset, Table, additive_closure, semiring_as_module
 
 MAX_CARRIER = 64
 
@@ -295,45 +286,6 @@ def submodule_radical(submodule: Subsemimodule) -> Ideal:
 def annihilator(module: FiniteSemimodule) -> Ideal:
     """Scalars killing every module element: the residual of the zero subsemimodule."""
     return residual(Subsemimodule(module, frozenset({module.zero})))
-
-
-def box_ideal(instance: ExpectationInstance, ideal: Ideal, submodule: Subsemimodule) -> Ideal:
-    """The set I x N as an ideal of the product; raises NotAnIdeal unless I lies in (N : M).
-
-    On failure the witness is the action pair (a, x) with the least a in I
-    outside the residual and the least x with a*x outside N.
-    """
-    semiring = instance.factor_semiring
-    module = instance.factor_module
-    if not same_semiring(ideal.parent, semiring):
-        raise BaseMismatch("ideal does not live in the scalar factor")
-    if not same_semimodule(submodule.parent, module):
-        raise BaseMismatch("subsemimodule does not live in the module factor")
-    stray = ideal.members - residual_members(module, submodule.members)
-    if stray:
-        a = min(stray)
-        x = next(x for x in module.elements() if module.act(a, x) not in submodule.members)
-        raise NotAnIdeal(
-            f"scalar part does not carry the module into the vector part: {a} * {x} lands outside",
-            (a, x),
-        )
-    return Ideal(instance.product, box_members(instance, ideal.members, submodule.members))
-
-
-def ideal_projections(instance: ExpectationInstance, ideal: Ideal) -> tuple[Ideal, Subsemimodule]:
-    """Coordinate projections of an ideal of the product.
-
-    The scalar projection is an ideal, the module projection a
-    subsemimodule (both constructors re-verify), and the input is contained
-    in their box.
-    """
-    if not same_semiring(ideal.parent, instance.product):
-        raise BaseMismatch("ideal does not live in the product")
-    scalar, vector = projections(instance, ideal.members)
-    return (
-        Ideal(instance.factor_semiring, scalar),
-        Subsemimodule(instance.factor_module, vector),
-    )
 
 
 def is_weak_gaussian(semiring: FiniteSemiring) -> bool:

@@ -157,16 +157,6 @@ def same_semiring(a: FiniteSemiring, b: FiniteSemiring) -> bool:
     )
 
 
-def same_semimodule(a: FiniteSemimodule, b: FiniteSemimodule) -> bool:
-    return (
-        a.size == b.size
-        and a.zero == b.zero
-        and a.add_table == b.add_table
-        and a.action_table == b.action_table
-        and same_semiring(a.base, b.base)
-    )
-
-
 def _parse_table(rows: object, n_rows: int, n_cols: int, what: str) -> tuple[Table, list[AxiomViolation]]:
     """Copy ``rows`` into a table; one ``<what>_entry_range`` violation per entry not in 0..n_cols-1."""
     if not isinstance(rows, (list, tuple)) or len(rows) != n_rows:

@@ -179,14 +179,22 @@ class PairContext:
         return self.submodule(frozenset(self.module.elements()))
 
     @cached_property
-    def boxables(self) -> list[tuple[Ideal, Subsemimodule, Ideal]]:
-        """(I, N, I box N) for every pair where the box is a legal ideal: I inside (N : M)."""
+    def _legal_boxes(self) -> dict[tuple[frozenset[int], frozenset[int]], tuple[Ideal, Subsemimodule]]:
+        """Legal (I, N) pairs, I inside (N : M), keyed by their member sets; decided once per cell."""
         residuals = [residual_members(self.module, n.members) for n in self.submods_m]
-        return [
-            (i, n, self.ideal("product", box_members(self.instance, i.members, n.members)))
+        return {
+            (i.members, n.members): (i, n)
             for i in self.ideals_s
             for n, carriers in zip(self.submods_m, residuals)
             if i.members <= carriers
+        }
+
+    @cached_property
+    def boxables(self) -> list[tuple[Ideal, Subsemimodule, Ideal]]:
+        """(I, N, I box N) for every legal pair, each box validated as an ideal of the product."""
+        return [
+            (i, n, self.ideal("product", box_members(self.instance, i.members, n.members)))
+            for i, n in self._legal_boxes.values()
         ]
 
     @cached_property
@@ -331,10 +339,9 @@ def check_grading(ctx: PairContext):
 def check_box_ideal_iff(ctx: PairContext):
     e_ring = ctx.product
     t0, t1 = scalar_slice(ctx.instance), ctx.t1_set
-    legal_boxes = {(i.members, n.members) for i, n, _box in ctx.boxables}
     for i in ctx.ideals_s:
         for n in ctx.submods_m:
-            legal = (i.members, n.members) in legal_boxes
+            legal = (i.members, n.members) in ctx._legal_boxes
             members = box_members(ctx.instance, i.members, n.members)
             actually_ideal = ideal_violation(e_ring, members) is None
             if legal != actually_ideal:
@@ -727,13 +734,15 @@ def _run_cell(cell: GridCell):
 def _run_cells(cells: list[GridCell], workers: int):
     """Records and strongly-associate-only labels of each cell, in grid order.
 
-    The cells run in ``workers`` processes (1: this one).
+    The cells run in ``workers`` processes (1: this one), sent in about 16
+    chunks per worker: one cell per chunk pays a round trip per cell, and
+    large chunks leave a worker idle at the end.
     """
     if workers <= 1:
         yield from map(_run_cell, cells)
         return
     with multiprocessing.Pool(workers) as pool:
-        yield from pool.imap(_run_cell, cells, chunksize=1)
+        yield from pool.imap(_run_cell, cells, chunksize=-(-len(cells) // (16 * workers)))
 
 
 def weakly_prime_forward_probe() -> dict:

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,76 @@ def test_fewer_than_one_pair_is_a_usage_error(capsys, monkeypatch, tmp_path, pai
         bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "grid-order4", "--pairs", pairs])
     assert err.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
+def fake_runs(bench_pairs, monkeypatch, change_digest="abc"):
+    """Replace run_once: base runs take 2.0, 2.1, ... s and change runs 1.0 s less, in call order."""
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "base" if checkout.name == "base" else "change"
+        calls.append((side, workload, seed, seconds))
+        done = sum(1 for c in calls if c[0] == side) - 1
+        pass_s = 2.0 + done / 10 - (side == "change")
+        return {
+            "metrics": {"setup_s": 0.5, "pass_s": pass_s},
+            "digest": "abc" if side == "base" else change_digest,
+            "correct": True,
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def checkouts(tmp_path):
+    bench = {"run_seconds": 3, "end_to_end": [
+        {"name": "setup_s", "better": "lower"}, {"name": "pass_s", "better": "lower"}]}
+    for side in ("base", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
+    return ["base", "change"]
+
+
+def test_each_comparison_appends_one_record(capsys, monkeypatch, tmp_path):
+    bench_pairs = load_script()
+    calls = fake_runs(bench_pairs, monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    argv = checkouts(tmp_path) + ["--workload", "grid-order4", "--pairs", "3", "--seed", "5"]
+    assert bench_pairs.main(argv) == 0
+    assert [c[0] for c in calls] == ["base", "change", "change", "base", "base", "change"]
+    assert {c[1:] for c in calls} == {("grid-order4", 5, 3)}
+    assert "verdict digests: base ['abc'], change ['abc']" in capsys.readouterr().out
+
+    [record] = json.loads((tmp_path / "BENCH_grid-order4.json").read_text(encoding="utf-8"))
+    assert record["checkouts"] == {"base": {"path": "base", "commit": None},
+                                   "change": {"path": "change", "commit": None}}
+    assert (record["workload"], record["seed"], record["seconds"], record["exit"]) == ("grid-order4", 5, 3, 0)
+    assert [pair["first"] for pair in record["pairs"]] == ["base", "change", "base"]
+    assert [pair["base"]["metrics"]["pass_s"] for pair in record["pairs"]] == [2.0, 2.1, 2.2]
+    assert [pair["change"]["digest"] for pair in record["pairs"]] == ["abc"] * 3
+    pass_s = record["metrics"]["pass_s"]
+    assert pass_s["base"] == pytest.approx({"q1": 2.05, "median": 2.1, "q3": 2.15})
+    assert pass_s["change"] == pytest.approx({"q1": 1.05, "median": 1.1, "q3": 1.15})
+    assert pass_s["wins"] == 3 and pass_s["base_iqr"] == pytest.approx(0.1)
+    assert record["metrics"]["setup_s"]["wins"] == 0
+
+    # a second comparison, whose digests differ, adds a second record
+    fake_runs(bench_pairs, monkeypatch, change_digest="def")
+    assert bench_pairs.main(argv[:2] + ["--workload", "grid-order4", "--pairs", "1"]) == 1
+    records = json.loads((tmp_path / "BENCH_grid-order4.json").read_text(encoding="utf-8"))
+    assert len(records) == 2 and records[0] == record
+    assert (records[1]["exit"], records[1]["seed"], len(records[1]["pairs"])) == (1, 1, 1)
+
+
+def test_head_commit_is_read_only_at_the_top_of_a_work_tree(tmp_path):
+    bench_pairs = load_script()
+    tree = tmp_path / "tree"
+    (tree / "sub").mkdir(parents=True)
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    subprocess.run(git + ["init", "-q"], cwd=tree, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "empty"], cwd=tree, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, check=True, capture_output=True, text=True)
+    assert bench_pairs.head_commit(tree) == head.stdout.strip()
+    assert bench_pairs.head_commit(tree / "sub") is None
+    (tmp_path / "plain").mkdir()
+    assert bench_pairs.head_commit(tmp_path / "plain") is None

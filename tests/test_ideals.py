@@ -12,14 +12,12 @@ from semiringlab import (
     NotProper,
     Subsemimodule,
     annihilator,
-    box_ideal,
     build_expectation,
     builtin,
     builtin_pairs,
     default_grid,
     enumerate_ideals,
     enumerate_subsemimodules,
-    ideal_projections,
     is_maximal,
     is_primary,
     is_primary_submodule,
@@ -36,6 +34,7 @@ from semiringlab import (
     validate_semiring,
     zmod_quotient_module,
 )
+from semiringlab.construct import box_members, projections
 
 
 def brute_closed_sets(carrier):
@@ -285,11 +284,7 @@ def test_weakly_prime_examples():
     assert is_weakly_prime(Ideal(z4, frozenset({0})))
     assert is_weakly_prime(Ideal(z4, frozenset({0, 2})))
     inst = build_expectation(z4, self_module(z4))
-    box = box_ideal(
-        inst,
-        Ideal(z4, frozenset({0, 2})),
-        Subsemimodule(inst.factor_module, frozenset(range(4))),
-    )
+    box = Ideal(inst.product, box_members(inst, {0, 2}, range(4)))
     assert is_weakly_prime(box)
 
 
@@ -303,39 +298,46 @@ def test_annihilator_examples():
 
 
 def test_box_ideal_success_and_failure():
+    # A validated box is the Ideal constructor over construct.box_members.
     z4 = builtin("zmod_4").structure
     inst = build_expectation(z4, self_module(z4))
-    m = inst.factor_module
-    evens = Ideal(z4, frozenset({0, 2}))
-    box = box_ideal(inst, evens, Subsemimodule(m, frozenset(range(4))))
+    box = Ideal(inst.product, box_members(inst, {0, 2}, range(4)))
     assert len(box) == 8
 
+    # (1, 1)(2, 0) = (2, 2): the scalar 2 does not carry the module into {0}
+    stray = box_members(inst, {0, 2}, {0})
     with pytest.raises(NotAnIdeal) as err:
-        box_ideal(inst, evens, Subsemimodule(m, frozenset({0})))
-    assert err.value.witness == (2, 1)
+        Ideal(inst.product, stray)
+    e, k = err.value.witness
+    assert k in stray and inst.product.mul(e, k) not in stray
 
-    zero_box = box_ideal(inst, Ideal(z4, frozenset({0})), Subsemimodule(m, frozenset({0})))
+    zero_box = Ideal(inst.product, box_members(inst, {0}, {0}))
     assert zero_box.indices() == (inst.product.zero,)
 
 
 def test_projections_examples():
+    # Validated projections are the Ideal and Subsemimodule constructors over construct.projections.
     z4 = builtin("zmod_4").structure
     inst = build_expectation(z4, self_module(z4))
 
+    def validated(j):
+        scalar, vector = projections(inst, j.members)
+        return Ideal(z4, scalar), Subsemimodule(inst.factor_module, vector)
+
     slice_ideal = Ideal(inst.product, frozenset(inst.index_of(0, x) for x in range(4)))
-    i, n = ideal_projections(inst, slice_ideal)
+    i, n = validated(slice_ideal)
     assert i.indices() == (0,) and n.indices() == (0, 1, 2, 3)
 
     # the least ideal containing (2, 0): ideals come sorted by size
     generated = next(j for j in enumerate_ideals(inst.product) if inst.index_of(2, 0) in j.members)
     assert {inst.pair_of(k) for k in generated.members} == {(a, b) for a in (0, 2) for b in (0, 2)}
-    i, n = ideal_projections(inst, generated)
+    i, n = validated(generated)
     assert i.indices() == (0, 2) and n.indices() == (0, 2)
     box = frozenset(inst.index_of(a, b) for a in i.members for b in n.members)
     assert generated.members <= box
 
     whole = Ideal(inst.product, frozenset(range(16)))
-    i, n = ideal_projections(inst, whole)
+    i, n = validated(whole)
     assert i.indices() == (0, 1, 2, 3) and n.indices() == (0, 1, 2, 3)
 
 

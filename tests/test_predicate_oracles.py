@@ -8,7 +8,8 @@ repeats, and nothing is shared with the library's scans.  On every
 carrier of at most ``WITNESS_CARRIER`` elements the first witness of the
 ideal and subsemimodule closure tests is compared on every subset.  The
 product coordinates (boxes, projections and the graded test) are compared
-with their definitions through the pair bijection on every cell.  The
+with their definitions through the pair bijection on every cell, and the
+legal boxes ``PairContext.boxables`` lists with a literal ``a*x`` loop.  The
 action-law scans are compared with literal ``s, t, x`` loops on every
 self-action and module of order at most 3 over the order-2/3 semirings, and
 on seeded corruptions of their action tables.
@@ -22,8 +23,8 @@ import pytest
 from semiringlab import (
     Census,
     EmptyModule,
+    Ideal,
     NotAnIdeal,
-    box_ideal,
     build_expectation,
     default_grid,
     enumerate_ideals,
@@ -214,16 +215,15 @@ def primary_submodule_oracle(module, members):
 
 
 def box_oracle(instance, ideal_members, submodule_members):
-    """(witness, members): the first (a, x) with a in I and a*x outside N, else the box."""
+    """The literal members of I x N when a*x lies in N for every a in I and x in M, else None."""
     module = instance.factor_module
-    for a in sorted(ideal_members):
+    for a in ideal_members:
         for x in module.elements():
             if module.act(a, x) not in submodule_members:
-                return (a, x), None
-    members = frozenset(
+                return None
+    return frozenset(
         k for k, (s, x) in enumerate(instance.pairs) if s in ideal_members and x in submodule_members
     )
-    return None, members
 
 
 def check_semiring(semiring):
@@ -309,16 +309,21 @@ def test_predicates_match_literal_definitions_on_default_grid():
         by_parts = all(sum_of(semiring, a, good, idempotents_of(semiring)) for a in semiring.elements())
         assert Census(semiring).almost_clean_by_parts(Census(module)) == by_parts, cell.label
 
+        boxables = PairContext(cell.label, semiring, module).boxables
+        listed = {(i.members, n.members): box.members for i, n, box in boxables}
+        assert len(listed) == len(boxables), cell.label
+        legal = 0
         for i in ideals:
             for n in submodules:
-                witness, members = box_oracle(instance, i.members, n.members)
+                members = box_oracle(instance, i.members, n.members)
                 where = (cell.label, sorted(i.members), sorted(n.members))
-                if witness is None:
-                    assert box_ideal(instance, i, n).members == members, where
-                else:
-                    with pytest.raises(NotAnIdeal) as err:
-                        box_ideal(instance, i, n)
-                    assert err.value.witness == witness, where
+                assert listed.get((i.members, n.members)) == members, where
+                if members is not None:
+                    legal += 1
+                    continue
+                with pytest.raises(NotAnIdeal):
+                    Ideal(instance.product, box_members(instance, i.members, n.members))
+        assert legal == len(listed), cell.label
     assert len(cells) == 68
 
 

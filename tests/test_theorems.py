@@ -201,9 +201,10 @@ def test_parallel_run_matches_sequential():
 
 
 class RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, maps in this process."""
+    """Stands in for multiprocessing.Pool: records its size and chunk sizes, maps in this process."""
 
     sizes: list = []
+    chunks: list = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -215,7 +216,7 @@ class RecordingPool:
         return False
 
     def imap(self, fn, iterable, chunksize):
-        assert chunksize == 1
+        self.chunks.append(chunksize)
         return map(fn, iterable)
 
 
@@ -224,13 +225,26 @@ def test_jobs_are_bounded_by_cells_and_cpus(monkeypatch, cpus, jobs, expected):
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "chunks", [])
     cells = default_grid(max_order=2, include_builtins=False)[:3]
     sequential = run_suite(cells, seed=0, include_numeric=False)
     parallel = run_suite(cells, seed=0, jobs=jobs, include_numeric=False)
     # one CPU (cpu_count() unknown) runs the cells in this process, without a pool
     assert RecordingPool.sizes == ([] if expected is None else [expected])
+    assert RecordingPool.chunks == ([] if expected is None else [1])
     key = lambda report: [(r.theorem, r.instance, r.status, r.witness) for r in report.records]
     assert key(sequential) == key(parallel)
+
+
+@pytest.mark.parametrize("count, workers, chunksize", [(655, 2, 21), (68, 2, 3), (64, 2, 2), (3, 3, 1)])
+def test_cells_go_to_workers_in_about_16_chunks_each(monkeypatch, count, workers, chunksize):
+    # 655 is the order-4 grid with the catalog, 68 the default grid
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "chunks", [])
+    monkeypatch.setattr(theorems, "_run_cell", lambda cell: cell)
+    assert list(theorems._run_cells(list(range(count)), workers)) == list(range(count))
+    assert (RecordingPool.sizes, RecordingPool.chunks) == ([workers], [chunksize])
 
 
 def test_matrix_rendering_mentions_totals():
@@ -280,3 +294,16 @@ def test_full_module_box_witnesses_are_pinned(monkeypatch, patches, expected):
     assert {r.theorem: r.status for r in records if r.theorem in expected} == {
         theorem: PASS if witness is None else FAIL for theorem, witness in expected.items()
     }
+
+
+def test_box_check_reports_a_legal_box_that_is_no_ideal(monkeypatch):
+    # Every scalar counted as carrying the module anywhere makes every box
+    # legal; {0, 2} x {0} is not an ideal, as (1, 1)(2, 0) = (2, 2) shows.
+    # Thm-2.6-2 reads legality apart from the validated boxes, so it reports
+    # that pair instead of the constructor's crash.
+    monkeypatch.setattr(theorems, "residual_members", lambda module, members: frozenset(module.base.elements()))
+    z4 = builtin("zmod_4").structure
+    records, _census = run_pair("E(zmod_4, zmod_4)", z4, self_module(z4))
+    by_id = {r.theorem: r for r in records}
+    assert (by_id["Thm-2.6-2"].status, by_id["Thm-2.6-2"].witness) == (FAIL, {"ideal": [0, 2], "submodule": [0]})
+    assert by_id["Thm-2.6-3"].witness["error"].startswith("NotAnIdeal: not an ideal")

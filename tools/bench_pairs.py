@@ -11,11 +11,17 @@ the ``run_seconds`` of BASE's BENCHMARK.json, so both sides run as long.
 
 The script prints every pair's end-to-end metrics and verdict digest, then,
 per metric, each side's median and quartiles, the number of pairs the change
-won (ties count for neither side) and the base's interquartile range.  It
-writes nothing itself; the runs write only what the benchmark writes (its
-``.perfbench_out/`` directory and Python's bytecode caches).  Exit code 0
-when every run was correct and both sides printed one verdict digest, 1 when
-a run failed or the digests differ.
+won (ties count for neither side) and the base's interquartile range.  It then
+appends the same figures as one record to ``BENCH_<workload>.json`` in the
+working directory, a JSON list with one record per completed comparison: both
+checkout paths as given and each one's ``HEAD`` commit (null unless the
+checkout is the top of a git work tree), the workload, seed and run seconds,
+every pair's first side, metrics and digests, the per-metric summary and the
+exit code.  The runs write only what the benchmark writes (its
+``.perfbench_out/`` directory and Python's bytecode caches).  Exit code 0 when
+every run was correct and both sides printed one verdict digest, 1 when a run
+failed or the digests differ; a run that crashes ends the script before any
+record is written.
 """
 
 from __future__ import annotations
@@ -45,6 +51,26 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "digest": digests[0] if digests else None,
         "correct": proc.returncode == 0 and result["correct"],
     }
+
+
+def head_commit(checkout: Path) -> str | None:
+    """The ``HEAD`` commit of ``checkout`` when it is the top of a git work tree, else None."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
+                              cwd=checkout, capture_output=True, text=True)
+    except OSError:
+        return None
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
+        return None
+    return lines[1]
+
+
+def append_record(path: Path, record: dict) -> None:
+    """Append ``record`` to the JSON list in ``path``, starting the list if the file is missing."""
+    records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    records.append(record)
+    path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -91,6 +117,7 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, {args.pairs} pairs, seed {args.seed}, {seconds:g} s runs")
     print(f"{'metric':12s} {'base q1 / median / q3':>29s} {'change q1 / median / q3':>29s}"
           f" {'shift':>8s} {'wins':>6s} {'base IQR':>9s}")
+    summary = {}
     for name, lower in lower_is_better.items():
         base = [r["metrics"][name] for r in runs["base"]]
         change = [r["metrics"][name] for r in runs["change"]]
@@ -99,12 +126,26 @@ def main(argv=None) -> int:
         shift = (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
         print(f"{name:12s} {bq[0]:9.4f} {bq[1]:9.4f} {bq[2]:9.4f} {cq[0]:9.4f} {cq[1]:9.4f} {cq[2]:9.4f}"
               f" {shift:+8.1%} {wins:3d}/{args.pairs:<2d} {bq[2] - bq[0]:9.4f}")
+        summary[name] = {"base": dict(zip(("q1", "median", "q3"), bq)),
+                         "change": dict(zip(("q1", "median", "q3"), cq)),
+                         "wins": wins, "base_iqr": bq[2] - bq[0]}
 
     digests = {side: {r["digest"] for r in runs[side]} for side in sides}
     print(f"verdict digests: base {sorted(map(str, digests['base']))}, change {sorted(map(str, digests['change']))}")
     correct = all(r["correct"] for side in runs.values() for r in side)
     same = len(digests["base"]) == 1 and digests["base"] == digests["change"]
-    return 0 if correct and same else 1
+    code = 0 if correct and same else 1
+    append_record(Path(f"BENCH_{args.workload}.json"), {
+        "checkouts": {side: {"path": str(path), "commit": head_commit(path)} for side, path in sides.items()},
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": seconds,
+        "pairs": [{"first": "base" if i % 2 == 0 else "change", **{side: runs[side][i] for side in sides}}
+                  for i in range(args.pairs)],
+        "metrics": summary,
+        "exit": code,
+    })
+    return code
 
 
 if __name__ == "__main__":
