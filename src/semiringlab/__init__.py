@@ -33,7 +33,6 @@ from .construct import (
 )
 from .elements import (
     Census,
-    EmptyModule,
     classify,
 )
 from .ideals import (
@@ -41,7 +40,6 @@ from .ideals import (
     Ideal,
     NotAnIdeal,
     NotASubmodule,
-    NotProper,
     Subsemimodule,
     annihilator,
     enumerate_ideals,

@@ -205,10 +205,8 @@ def cmd_classify(args) -> int:
     data = _load_json(args.instance)
     semiring = validate_semiring(data)
     if args.module:
-        target = build_expectation(semiring, _load_module(args.module, semiring))
-    else:
-        target = semiring
-    payload = {"schema": f"{SCHEMA_PREFIX}/class-report/1", **classify(target)}
+        semiring = build_expectation(semiring, _load_module(args.module, semiring)).product
+    payload = {"schema": f"{SCHEMA_PREFIX}/class-report/1", **classify(semiring)}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -10,13 +10,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .construct import ExpectationInstance
 from .ideals import _power_in, ideal_violation
 from .tables import Carrier, FiniteSemiring, Subset, semiring_as_module, v_set
-
-
-class EmptyModule(ValueError):
-    """Zero-divisors of a module are undefined when the module is trivial."""
 
 
 class Census:
@@ -64,10 +59,8 @@ class Census:
 
     @cached_property
     def zero_divisors(self) -> Subset:
-        """Scalars killing some nonzero element; for a semiring, zero itself always qualifies."""
+        """Scalars killing some nonzero element: empty for the trivial module, and zero for a semiring."""
         module = self.module
-        if module.size == 1:
-            raise EmptyModule("zero-divisors of the trivial module are undefined")
         zero = module.zero
         members = frozenset(
             s
@@ -175,12 +168,9 @@ class Census:
     def almost_clean_by_parts(self, module: Census) -> bool:
         """Every scalar is t + e with e idempotent and t outside both zero-divisor sets.
 
-        ``module`` is the census of a module over this semiring.  For the
-        trivial module the module zero-divisor set is taken to be empty.
+        ``module`` is the census of a module over this semiring.
         """
-        bad = self.zero_divisors.members
-        if module.structure.size > 1:
-            bad = bad | module.zero_divisors.members
+        bad = self.zero_divisors.members | module.zero_divisors.members
         semiring = self.structure
         return len(self._idempotent_sums(frozenset(semiring.elements()) - bad)) == semiring.size
 
@@ -226,14 +216,13 @@ CLASS_FLAGS = (
 CLASS_SETS = ("units", "v_set", "idempotents", "nilpotents", "zero_divisors")
 
 
-def classify(target: FiniteSemiring | ExpectationInstance) -> dict:
-    """Element sets and class flags of a semiring (or a built product), as JSON-ready data."""
-    semiring = target.product if isinstance(target, ExpectationInstance) else target
+def classify(semiring: FiniteSemiring) -> dict:
+    """Element sets and class flags of a semiring, as JSON-ready data."""
     census = Census(semiring)
     u, z, nil = census.units.members, census.zero_divisors.members, census.nilpotents.members
     if u & z:
         raise RuntimeError("unit/zero-divisor overlap: corrupt tables")
-    if semiring.size > 1 and not nil <= z:
+    if not nil <= z:
         raise RuntimeError("nilpotent outside the zero-divisors: corrupt tables")
     return {
         "name": semiring.name,

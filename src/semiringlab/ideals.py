@@ -35,10 +35,6 @@ class CarrierTooLarge(ValueError):
     """Enumeration refused: the carrier has more than MAX_CARRIER elements."""
 
 
-class NotProper(ValueError):
-    """A predicate defined only for proper ideals/subsemimodules got the whole carrier."""
-
-
 class NotAnIdeal(ValueError):
     def __init__(self, message: str, witness: tuple[int, ...] = ()):
         super().__init__(message)
@@ -176,11 +172,6 @@ def is_subtractive(subset: Ideal | Subsemimodule) -> bool:
     return True
 
 
-def _require_proper(subset: Subset) -> None:
-    if not subset.is_proper():
-        raise NotProper("predicate is defined only for proper subsets of the carrier")
-
-
 def _power_in(semiring: FiniteSemiring, b: int, members: frozenset[int]) -> bool:
     """True iff one of b, b^2, ..., b^size lies in ``members``."""
     mul = semiring.mul_table
@@ -193,8 +184,9 @@ def _power_in(semiring: FiniteSemiring, b: int, members: frozenset[int]) -> bool
 
 
 def _prime_scan(ideal: Ideal, exempt: int | None) -> bool:
-    """No product other than ``exempt`` of two elements outside the ideal lands in it."""
-    _require_proper(ideal)
+    """The ideal is proper and no product other than ``exempt`` of two elements outside it lands in it."""
+    if not ideal.is_proper():
+        return False
     members = ideal.members
     mul = ideal.parent.mul_table
     outside = [a for a in ideal.parent.elements() if a not in members]
@@ -208,18 +200,19 @@ def _prime_scan(ideal: Ideal, exempt: int | None) -> bool:
 
 
 def is_prime(ideal: Ideal) -> bool:
-    """ab in I forces a in I or b in I (proper ideals only)."""
+    """ab in I forces a in I or b in I; False on the whole carrier (proper by definition)."""
     return _prime_scan(ideal, None)
 
 
 def is_weakly_prime(ideal: Ideal) -> bool:
-    """Nonzero products landing in the ideal have a factor in it (proper ideals only)."""
+    """Nonzero products in the ideal have a factor in it; False on the whole carrier (proper by definition)."""
     return _prime_scan(ideal, ideal.parent.zero)
 
 
 def is_maximal(ideal: Ideal, all_ideals: Sequence[Ideal]) -> bool:
-    """No proper ideal in ``all_ideals`` (the ideals of its parent) strictly contains it."""
-    _require_proper(ideal)
+    """Proper, and no proper ideal in ``all_ideals`` (the ideals of its parent) strictly contains it."""
+    if not ideal.is_proper():
+        return False
     for other in all_ideals:
         if other.is_proper() and ideal.members < other.members:
             return False
@@ -227,11 +220,12 @@ def is_maximal(ideal: Ideal, all_ideals: Sequence[Ideal]) -> bool:
 
 
 def _primary_scan(subset: Subset, module: FiniteSemimodule, carriers: frozenset[int]) -> bool:
-    """sx in the subset with x outside it forces some power of s into ``carriers``.
+    """The subset is proper and sx in it with x outside it forces some power of s into ``carriers``.
 
     Powers are chased once per scalar s that moves some x into the subset.
     """
-    _require_proper(subset)
+    if not subset.is_proper():
+        return False
     members = subset.members
     outside = [x for x in module.elements() if x not in members]
     for s, row in enumerate(module.action_table):
@@ -244,7 +238,7 @@ def _primary_scan(subset: Subset, module: FiniteSemimodule, carriers: frozenset[
 
 
 def is_primary(ideal: Ideal) -> bool:
-    """ab in I with a not in I forces some power of b into I (proper ideals only).
+    """ab in I with a not in I forces some power of b into I; False on the whole carrier (proper by definition).
 
     This is the primary test of I in the self-module, whose residual (I : S) is I.
     """
@@ -252,7 +246,7 @@ def is_primary(ideal: Ideal) -> bool:
 
 
 def is_primary_submodule(submodule: Subsemimodule) -> bool:
-    """sx in N with x not in N forces some power of s to carry the module into N."""
+    """sx in N with x not in N forces some power of s to carry M into N; False on M (proper by definition)."""
     module = submodule.parent
     return _primary_scan(submodule, module, residual_members(module, submodule.members))
 
@@ -291,6 +285,6 @@ def annihilator(module: FiniteSemimodule) -> Ideal:
 def is_weak_gaussian(semiring: FiniteSemiring) -> bool:
     """True iff every prime ideal is subtractive."""
     for ideal in enumerate_ideals(semiring):
-        if ideal.is_proper() and is_prime(ideal) and not is_subtractive(ideal):
+        if is_prime(ideal) and not is_subtractive(ideal):
             return False
     return True

@@ -168,11 +168,11 @@ class PairContext:
 
     @cached_property
     def primes_s(self) -> list[Ideal]:
-        return [i for i in self.ideals_s if i.is_proper() and self.once(is_prime, i)]
+        return [i for i in self.ideals_s if self.once(is_prime, i)]
 
     @cached_property
     def primes_e(self) -> list[Ideal]:
-        return [i for i in self.ideals_e if i.is_proper() and self.once(is_prime, i)]
+        return [i for i in self.ideals_e if self.once(is_prime, i)]
 
     @cached_property
     def full_module(self) -> Subsemimodule:
@@ -237,8 +237,6 @@ class PairContext:
 
     @cached_property
     def z_m(self) -> frozenset[int]:
-        if self.module.size == 1:
-            return frozenset()
         return self.module_census.zero_divisors.members
 
     @cached_property
@@ -407,7 +405,7 @@ def check_primes_contain_slice(ctx: PairContext):
 
 def check_subtractive_primes_are_boxes(ctx: PairContext):
     subtractive = (p for p in ctx.primes_e if ctx.once(is_subtractive, p))
-    qualifies = lambda i: i.is_proper() and ctx.once(is_prime, i) and ctx.once(is_subtractive, i)
+    qualifies = lambda i: ctx.once(is_prime, i) and ctx.once(is_subtractive, i)
     witness = _first_non_box(ctx, "prime", subtractive, qualifies)
     return (FAIL, witness) if witness else (PASS, None)
 
@@ -431,7 +429,7 @@ def check_weak_gaussian_shapes(ctx: PairContext):
     prime_qualifies = lambda i: ctx.once(is_prime, i) and ctx.once(is_subtractive, i)
     witness = _first_non_box(ctx, "prime", ctx.primes_e, prime_qualifies)
     if witness is None:
-        maximals = [j for j in ctx.ideals_e if j.is_proper() and is_maximal(j, ctx.ideals_e)]
+        maximals = [j for j in ctx.ideals_e if is_maximal(j, ctx.ideals_e)]
         maximal_qualifies = lambda i: is_maximal(i, ctx.ideals_s) and ctx.once(is_subtractive, i)
         witness = _first_non_box(ctx, "maximal", maximals, maximal_qualifies)
     return (FAIL, witness) if witness else (PASS, None)
@@ -441,7 +439,7 @@ def check_weakly_prime_lift(ctx: PairContext):
     if _annihilator_condition_violations(ctx.semiring, ctx.module):
         return PASS, None
     for i in ctx.ideals_s:
-        if not i.is_proper() or not ctx.once(is_weakly_prime, i):
+        if not ctx.once(is_weakly_prime, i):
             continue
         if not ctx.once(is_weakly_prime, ctx.full_module_boxes[i.members]):
             return FAIL, {"ideal": sorted(i.members)}
@@ -454,16 +452,13 @@ def check_residual_and_primary_radical(ctx: PairContext):
             residual_ideal = ctx.once(radical, ctx.once(residual, n))
         except NotAnIdeal as exc:
             return FAIL, {"submodule": sorted(n.members), "reason": str(exc)}
-        if n.is_proper() and ctx.once(is_primary_submodule, n):
-            if not (residual_ideal.is_proper() and ctx.once(is_prime, residual_ideal)):
-                return FAIL, {"submodule": sorted(n.members), "radical": sorted(residual_ideal.members)}
+        if ctx.once(is_primary_submodule, n) and not ctx.once(is_prime, residual_ideal):
+            return FAIL, {"submodule": sorted(n.members), "radical": sorted(residual_ideal.members)}
     return PASS, None
 
 
 def check_primary_box_iff(ctx: PairContext):
     for i in ctx.ideals_s:
-        if not i.is_proper():
-            continue
         if ctx.once(is_primary, i) != ctx.once(is_primary, ctx.full_module_boxes[i.members]):
             return FAIL, {"ideal": sorted(i.members)}
     return PASS, None
@@ -486,8 +481,7 @@ def check_primary_box_with_subtractive_module(ctx: PairContext):
     for i, n, box in ctx.boxables:
         if not n.is_proper():
             continue
-        # A primary box forces I primary, by (a, 0)(b, 0) = (ab, 0); I is
-        # proper because a legal box with N proper keeps 1 out of (N : M).
+        # A primary box forces I primary, by (a, 0)(b, 0) = (ab, 0).
         radicals_agree = ctx.once(radical, i).members == ctx.once(radical, ctx.once(residual, n)).members
         expected = ctx.once(is_primary, i) and ctx.once(is_primary_submodule, n) and radicals_agree
         if ctx.once(is_primary, box) != expected:
@@ -755,8 +749,8 @@ def weakly_prime_forward_probe() -> dict:
     """
     semiring = catalog.builtin("zmod_4").structure
     module = catalog.self_module(semiring)
-    ctx = PairContext("E(zmod_4, zmod_4)", semiring, module)
-    box_wp = is_weakly_prime(ctx.full_module_boxes[frozenset({0, 2})])
+    instance = build_expectation(semiring, module)
+    box_wp = is_weakly_prime(Ideal(instance.product, box_members(instance, {0, 2}, module.elements())))
     violating = _annihilator_condition_violations(semiring, module)
     condition_holds = not violating
     return {

@@ -227,7 +227,7 @@ def test_criterion_5_spot_values():
         pairs4 = {z4z4.pair_of(k) for k in Census(z4z4.product).idempotents.members}
         assert pairs4 == {(0, 0), (1, 0)}
         assert Census(z4z4.product).clean is True
-        assert classify(z4z4)["flags"]["clean"] is True
+        assert classify(z4z4.product)["flags"]["clean"] is True
         return "all seven spot values reproduced exactly"
 
     timed(5, 30.0, body)

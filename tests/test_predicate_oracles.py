@@ -22,7 +22,6 @@ import pytest
 
 from semiringlab import (
     Census,
-    EmptyModule,
     Ideal,
     NotAnIdeal,
     build_expectation,
@@ -31,6 +30,7 @@ from semiringlab import (
     enumerate_semimodules,
     enumerate_semirings,
     enumerate_subsemimodules,
+    is_maximal,
     is_primary,
     is_primary_submodule,
     is_prime,
@@ -251,6 +251,8 @@ def check_semiring(semiring):
         assert radical(ideal).members == radical_of(semiring, members), where
         assert is_subtractive(ideal) == subtractive_oracle(semiring, members), where
         if not ideal.is_proper():
+            verdicts = (is_prime(ideal), is_weakly_prime(ideal), is_primary(ideal), is_maximal(ideal, ideals))
+            assert verdicts == (False,) * 4, where
             continue
         assert is_prime(ideal) == prime_oracle(semiring, members), where
         assert is_weakly_prime(ideal) == prime_oracle(semiring, members, weakly=True), where
@@ -263,14 +265,9 @@ def check_module(module):
     census = Census(module)
     assert census.presimplifiable == presimplifiable_oracle(module), names
     assert census.strongly_associate == strongly_associate_oracle(module), names
-    if module.size == 1:
-        for entry in ("zero_divisors", "domainlike"):
-            with pytest.raises(EmptyModule):
-                getattr(census, entry)
-    else:
-        z = module_zero_divisors_of(module)
-        assert census.zero_divisors.members == z, names
-        assert census.domainlike == (z <= nilpotents_of(module.base)), names
+    z = module_zero_divisors_of(module)
+    assert census.zero_divisors.members == z, names
+    assert census.domainlike == (z <= nilpotents_of(module.base)), names
     check_witnesses(module)
     submodules = enumerate_subsemimodules(module)
     for n in submodules:
@@ -279,6 +276,8 @@ def check_module(module):
         assert is_subtractive(n) == subtractive_oracle(module, n.members), where
         if n.is_proper():
             assert is_primary_submodule(n) == primary_submodule_oracle(module, n.members), where
+        else:
+            assert is_primary_submodule(n) is False, where
     return submodules
 
 

@@ -8,7 +8,10 @@ built by ``perfbench/workloads.make_dag``.  For each size the script prints
 one JSON line with the best of 3 wall times, in seconds, of the JSON parse,
 ``graph_from_dict`` and the pass (``forward_total`` then
 ``expectation_from_total``, as ``expect`` runs them), plus their sum without
-the parse and the total mass Z.  It writes no file.
+the parse and the total mass Z.  It then appends one record (the ``HEAD``
+commit of this checkout, or null outside a git work tree top, the sizes and
+the printed lines) to ``BENCH_dag_scale.json`` in the working directory, a
+JSON list like the ones ``tools/bench_pairs.py`` keeps.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tools")]
 
+from bench_pairs import append_record, head_commit  # noqa: E402
 from perfbench.workloads import make_dag  # noqa: E402
 from semiringlab.numeric import expectation_from_total, forward_total, graph_from_dict  # noqa: E402
 
@@ -61,8 +65,11 @@ def measure(nodes: int, repeats: int = 3) -> dict:
 
 
 def main() -> int:
+    runs = []
     for nodes in SIZES:
-        print(json.dumps(measure(nodes)), flush=True)
+        runs.append(measure(nodes))
+        print(json.dumps(runs[-1]), flush=True)
+    append_record(Path("BENCH_dag_scale.json"), {"commit": head_commit(ROOT), "sizes": list(SIZES), "runs": runs})
     return 0
 
 
