@@ -9,7 +9,6 @@ of what is being decided.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import time
@@ -735,6 +734,8 @@ def _run_cells(cells: list[GridCell], workers: int):
     if workers <= 1:
         yield from map(_run_cell, cells)
         return
+    import multiprocessing  # loaded only by a run that starts a pool
+
     with multiprocessing.Pool(workers) as pool:
         yield from pool.imap(_run_cell, cells, chunksize=-(-len(cells) // (16 * workers)))
 

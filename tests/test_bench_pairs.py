@@ -92,12 +92,21 @@ def test_each_comparison_appends_one_record(capsys, monkeypatch, tmp_path):
 def test_head_commit_is_read_only_at_the_top_of_a_work_tree(tmp_path):
     bench_pairs = load_script()
     tree = tmp_path / "tree"
-    (tree / "sub").mkdir(parents=True)
+    (tree / "src").mkdir(parents=True)
+    (tree / "src" / "code.py").write_text("x = 1\n")
+    (tree / "BENCH_x.json").write_text("[]\n")
     git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
     subprocess.run(git + ["init", "-q"], cwd=tree, check=True)
-    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "empty"], cwd=tree, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=tree, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "code"], cwd=tree, check=True)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, check=True, capture_output=True, text=True)
-    assert bench_pairs.head_commit(tree) == head.stdout.strip()
-    assert bench_pairs.head_commit(tree / "sub") is None
+    sha = head.stdout.strip()
+    assert bench_pairs.head_commit(tree) == sha
+    assert bench_pairs.head_commit(tree / "src") is None
     (tmp_path / "plain").mkdir()
     assert bench_pairs.head_commit(tmp_path / "plain") is None
+    # an appended record is not measured code; an edit under src/ is
+    (tree / "BENCH_x.json").write_text('[{"exit": 0}]\n')
+    assert bench_pairs.head_commit(tree) == sha
+    (tree / "src" / "code.py").write_text("x = 2\n")
+    assert bench_pairs.head_commit(tree) == sha + "-dirty"

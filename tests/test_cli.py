@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +346,33 @@ def test_out_of_range_order_exits_one(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: supported orders are ")
     assert f"got {argv[-1]}" in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+COLD_RUN = """
+import json, os, sys
+src, out = sys.argv[1:]
+sys.path.insert(0, src)
+import semiringlab.cli as cli
+loaded = {"import": "multiprocessing" in sys.modules}
+for jobs in ("1", "2"):
+    assert cli.main(["verify-theorems", "--max-order", "2", "--jobs", jobs, "--json", out + jobs]) == 0
+    loaded["jobs " + jobs] = "multiprocessing" in sys.modules
+print(json.dumps({"loaded": loaded, "cpus": os.cpu_count()}))
+"""
+
+
+def test_cold_import_leaves_the_pool_module_to_pooled_runs(tmp_path):
+    # a fresh interpreter: this test process has imported multiprocessing long ago
+    out = tmp_path / "report"
+    proc = subprocess.run([sys.executable, "-c", COLD_RUN, str(SRC), str(out)],
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    pooled = (result["cpus"] or 1) > 1
+    assert result["loaded"] == {"import": False, "jobs 1": False, "jobs 2": pooled}
+    sequential, parallel = (json.loads(Path(f"{out}{jobs}").read_text()) for jobs in "12")
+    for report in (sequential, parallel):
+        for record in report["records"]:
+            del record["runtime"]  # wall-clock, the only field that varies
+    assert sequential["records"] and parallel == sequential

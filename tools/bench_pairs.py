@@ -15,7 +15,9 @@ won (ties count for neither side) and the base's interquartile range.  It then
 appends the same figures as one record to ``BENCH_<workload>.json`` in the
 working directory, a JSON list with one record per completed comparison: both
 checkout paths as given and each one's ``HEAD`` commit (null unless the
-checkout is the top of a git work tree), the workload, seed and run seconds,
+checkout is the top of a git work tree, with ``-dirty`` appended when
+``src``, ``perfbench``, ``tools`` or ``BENCHMARK.json`` hold uncommitted
+changes), the workload, seed and run seconds,
 every pair's first side, metrics and digests, the per-metric summary and the
 exit code.  The runs write only what the benchmark writes (its
 ``.perfbench_out/`` directory and Python's bytecode caches).  Exit code 0 when
@@ -53,8 +55,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+# what a benchmark run executes; the BENCH_*.json records at the top are not among them
+MEASURED = ("src", "perfbench", "tools", "BENCHMARK.json")
+
+
 def head_commit(checkout: Path) -> str | None:
-    """The ``HEAD`` commit of ``checkout`` when it is the top of a git work tree, else None."""
+    """The ``HEAD`` commit of ``checkout`` when it is the top of a git work tree, else None.
+
+    The commit ends in ``-dirty`` when ``git status`` shows a change under the
+    ``MEASURED`` paths, so a record never names code it did not run.
+    """
     try:
         proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
                               cwd=checkout, capture_output=True, text=True)
@@ -63,7 +73,9 @@ def head_commit(checkout: Path) -> str | None:
     lines = proc.stdout.split()
     if proc.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
         return None
-    return lines[1]
+    status = subprocess.run(["git", "status", "--porcelain", "--", *MEASURED],
+                            cwd=checkout, capture_output=True, text=True)
+    return lines[1] + ("-dirty" if status.stdout.strip() else "")
 
 
 def append_record(path: Path, record: dict) -> None:

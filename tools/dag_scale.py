@@ -9,8 +9,9 @@ one JSON line with the best of 3 wall times, in seconds, of the JSON parse,
 ``graph_from_dict`` and the pass (``forward_total`` then
 ``expectation_from_total``, as ``expect`` runs them), plus their sum without
 the parse and the total mass Z.  It then appends one record (the ``HEAD``
-commit of this checkout, or null outside a git work tree top, the sizes and
-the printed lines) to ``BENCH_dag_scale.json`` in the working directory, a
+commit of this checkout, or null outside a git work tree top, with
+``-dirty`` appended when the measured code has uncommitted changes, the sizes
+and the printed lines) to ``BENCH_dag_scale.json`` in the working directory, a
 JSON list like the ones ``tools/bench_pairs.py`` keeps.
 """
 
