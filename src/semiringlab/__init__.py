@@ -23,7 +23,6 @@ from .catalog import (
 )
 from .construct import (
     ExpectationInstance,
-    GradedDecomposition,
     build_expectation,
     embed_s,
     graded_decomposition,

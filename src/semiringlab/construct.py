@@ -20,7 +20,6 @@ from .tables import (
     BaseMismatch,
     FiniteSemimodule,
     FiniteSemiring,
-    Subset,
     additive_closure,
     same_semiring,
     validate_semiring,
@@ -49,14 +48,6 @@ class ExpectationInstance:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The (scalar index, module index) pair of every product index, in order."""
         return tuple(map(self.pair_of, self.product.elements()))
-
-
-@dataclass(frozen=True)
-class GradedDecomposition:
-    """Degree-0 slice (s, 0) and degree-1 slice (0, m); degrees >= 2 are {zero}."""
-
-    t0: Subset
-    t1: Subset
 
 
 def build_expectation(semiring: FiniteSemiring, module: FiniteSemimodule) -> ExpectationInstance:
@@ -214,7 +205,7 @@ def matrix_iso_check(instance: ExpectationInstance) -> bool:
     )
 
 
-def graded_decomposition(instance: ExpectationInstance) -> GradedDecomposition:
+def graded_decomposition(instance: ExpectationInstance) -> tuple[frozenset[int], frozenset[int]]:
     """Split the product into its scalar slice T0 and zero-scalar slice T1.
 
     Verifies that every product element is t0 + t1 for exactly one pair
@@ -237,4 +228,4 @@ def graded_decomposition(instance: ExpectationInstance) -> GradedDecomposition:
         raise RuntimeError(
             f"degree {i} times degree {j} escapes degree {i + j} at {instance.pair_of(a)} * {instance.pair_of(b)}"
         )
-    return GradedDecomposition(t0=Subset(product, t0), t1=Subset(product, t1))
+    return t0, t1

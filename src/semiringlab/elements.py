@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .ideals import _power_in, ideal_violation
-from .tables import Carrier, FiniteSemiring, Subset, semiring_as_module, v_set
+from .tables import Carrier, FiniteSemiring, semiring_as_module, v_set
 
 
 class Census:
@@ -39,74 +39,72 @@ class Census:
         return self._base or self
 
     @cached_property
-    def units(self) -> Subset:
+    def units(self) -> frozenset[int]:
         """Elements with a multiplicative inverse."""
         semiring = self.structure
         one = semiring.one
-        return Subset(semiring, frozenset(a for a, row in enumerate(semiring.mul_table) if one in row))
+        return frozenset(a for a, row in enumerate(semiring.mul_table) if one in row)
 
     @cached_property
-    def idempotents(self) -> Subset:
+    def idempotents(self) -> frozenset[int]:
         semiring = self.structure
-        return Subset(semiring, frozenset(a for a in semiring.elements() if semiring.mul(a, a) == a))
+        return frozenset(a for a in semiring.elements() if semiring.mul(a, a) == a)
 
     @cached_property
-    def nilpotents(self) -> Subset:
+    def nilpotents(self) -> frozenset[int]:
         """Elements with some power equal to zero (powers chased up to the carrier size)."""
         semiring = self.structure
         zero = frozenset({semiring.zero})
-        return Subset(semiring, frozenset(a for a in semiring.elements() if _power_in(semiring, a, zero)))
+        return frozenset(a for a in semiring.elements() if _power_in(semiring, a, zero))
 
     @cached_property
-    def zero_divisors(self) -> Subset:
+    def zero_divisors(self) -> frozenset[int]:
         """Scalars killing some nonzero element: empty for the trivial module, and zero for a semiring."""
         module = self.module
         zero = module.zero
-        members = frozenset(
+        return frozenset(
             s
             for s, row in enumerate(module.action_table)
             if any(y == zero and x != zero for x, y in enumerate(row))
         )
-        return Subset(module.base, members)
 
     @cached_property
-    def additive_idempotents(self) -> Subset:
+    def additive_idempotents(self) -> frozenset[int]:
         structure = self.structure
         add = structure.add_table
-        return Subset(structure, frozenset(x for x in structure.elements() if add[x][x] == x))
+        return frozenset(x for x in structure.elements() if add[x][x] == x)
 
     @cached_property
-    def additively_regular_elements(self) -> Subset:
+    def additively_regular_elements(self) -> frozenset[int]:
         """Elements a with a + a + b = a for some b."""
         structure = self.structure
         add = structure.add_table
-        members = frozenset(
+        return frozenset(
             a
             for a in structure.elements()
             if any(add[add[a][a]][b] == a for b in structure.elements())
         )
-        return Subset(structure, members)
 
     @cached_property
-    def v_set(self) -> Subset:
+    def v_set(self) -> frozenset[int]:
         return v_set(self.structure)
 
     @cached_property
     def semifield(self) -> bool:
         """Every nonzero element is a unit."""
-        semiring, u = self.structure, self.units.members
+        semiring, u = self.structure, self.units
         return all(a in u for a in semiring.elements() if a != semiring.zero)
 
     @cached_property
     def local(self) -> bool:
         """The nonunits form an ideal (on a finite carrier: a unique maximal ideal)."""
         semiring = self.structure
-        return ideal_violation(semiring, frozenset(semiring.elements()) - self.units.members) is None
+        return ideal_violation(semiring, frozenset(semiring.elements()) - self.units) is None
 
     @cached_property
     def presimplifiable(self) -> bool:
         """sx = x forces s a unit of the base or x = 0."""
-        module, u = self.module, self.base.units.members
+        module, u = self.module, self.base.units
         return all(
             s in u or x == module.zero
             for s, row in enumerate(module.action_table)
@@ -125,7 +123,7 @@ class Census:
     def strong_associates(self, x: int, y: int) -> bool:
         """x = u*y for some unit u of the base."""
         action = self.module.action_table
-        return any(action[u][y] == x for u in self.base.units.members)
+        return any(action[u][y] == x for u in self.base.units)
 
     @cached_property
     def strongly_associate(self) -> bool:
@@ -142,16 +140,16 @@ class Census:
     @cached_property
     def domainlike(self) -> bool:
         """All zero-divisors are nilpotent in the base."""
-        return self.zero_divisors.members <= self.base.nilpotents.members
+        return self.zero_divisors <= self.base.nilpotents
 
     def _idempotent_sums(self, parts) -> set[int]:
         """Every t + e with t in ``parts`` and e idempotent."""
         add = self.structure.add_table
-        return {add[t][e] for t in parts for e in self.idempotents.members}
+        return {add[t][e] for t in parts for e in self.idempotents}
 
     @cached_property
     def _unit_sums(self) -> set[int]:
-        return self._idempotent_sums(self.units.members)
+        return self._idempotent_sums(self.units)
 
     @cached_property
     def clean(self) -> bool:
@@ -162,7 +160,7 @@ class Census:
     def almost_clean(self) -> bool:
         """Every element is a non-zero-divisor plus an idempotent."""
         semiring = self.structure
-        regular = frozenset(semiring.elements()) - self.zero_divisors.members
+        regular = frozenset(semiring.elements()) - self.zero_divisors
         return len(self._idempotent_sums(regular)) == semiring.size
 
     def almost_clean_by_parts(self, module: Census) -> bool:
@@ -170,7 +168,7 @@ class Census:
 
         ``module`` is the census of a module over this semiring.
         """
-        bad = self.zero_divisors.members | module.zero_divisors.members
+        bad = self.zero_divisors | module.zero_divisors
         semiring = self.structure
         return len(self._idempotent_sums(frozenset(semiring.elements()) - bad)) == semiring.size
 
@@ -182,9 +180,9 @@ class Census:
         ``weakly_clean_literal`` keeps the literal one so the difference
         stays visible.
         """
-        add, u, sums = self.structure.add_table, self.units.members, self._unit_sums
+        add, u, sums = self.structure.add_table, self.units, self._unit_sums
         return all(
-            a in sums or any(add[a][e] in u for e in self.idempotents.members)
+            a in sums or any(add[a][e] in u for e in self.idempotents)
             for a in self.structure.elements()
         )
 
@@ -195,7 +193,7 @@ class Census:
         The second condition does not mention s at all.
         """
         add = self.structure.add_table
-        return self.clean or any(add[u][e] == u for u in self.units.members for e in self.idempotents.members)
+        return self.clean or any(add[u][e] == u for u in self.units for e in self.idempotents)
 
     @cached_property
     def additively_regular(self) -> bool:
@@ -219,7 +217,7 @@ CLASS_SETS = ("units", "v_set", "idempotents", "nilpotents", "zero_divisors")
 def classify(semiring: FiniteSemiring) -> dict:
     """Element sets and class flags of a semiring, as JSON-ready data."""
     census = Census(semiring)
-    u, z, nil = census.units.members, census.zero_divisors.members, census.nilpotents.members
+    u, z, nil = census.units, census.zero_divisors, census.nilpotents
     if u & z:
         raise RuntimeError("unit/zero-divisor overlap: corrupt tables")
     if not nil <= z:
@@ -227,6 +225,6 @@ def classify(semiring: FiniteSemiring) -> dict:
     return {
         "name": semiring.name,
         "size": semiring.size,
-        **{name: list(getattr(census, name).indices()) for name in CLASS_SETS},
+        **{name: sorted(getattr(census, name)) for name in CLASS_SETS},
         "flags": {name: getattr(census, name) for name in CLASS_FLAGS},
     }

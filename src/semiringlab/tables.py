@@ -13,7 +13,7 @@ immutable once built and safe to share between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -76,13 +76,6 @@ class FiniteSemiring:
             out = self.mul_table[out][a]
         return out
 
-    def repeat_add(self, a: int, k: int) -> int:
-        """k-fold sum of a (k = 0 gives zero)."""
-        out = self.zero
-        for _ in range(k):
-            out = self.add_table[out][a]
-        return out
-
 
 @dataclass(frozen=True)
 class FiniteSemimodule:
@@ -119,7 +112,7 @@ Carrier = Union[FiniteSemiring, FiniteSemimodule]
 
 @dataclass(frozen=True)
 class Subset:
-    """An index set over the carrier of a semiring or semimodule."""
+    """Members of a validated closed set over a carrier: the base of ``Ideal`` and ``Subsemimodule``."""
 
     parent: Carrier
     members: frozenset[int]
@@ -129,12 +122,6 @@ class Subset:
         if self.members and not (0 <= min(self.members) and max(self.members) < size):
             bad = [i for i in self.members if not 0 <= i < size]
             raise ValueError(f"subset members {sorted(bad)} outside carrier 0..{size - 1}")
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -364,13 +351,12 @@ def validate_semimodule(base: FiniteSemiring, data: Mapping) -> FiniteSemimodule
     )
 
 
-def v_set(structure: Carrier) -> Subset:
+def v_set(structure: Carrier) -> frozenset[int]:
     """Elements having an additive inverse: ``{x : exists y, x + y = zero}``."""
     n = structure.size
     zero = structure.zero
     add = structure.add_table
-    members = frozenset(x for x in range(n) if any(add[x][y] == zero for y in range(n)))
-    return Subset(structure, members)
+    return frozenset(x for x in range(n) if any(add[x][y] == zero for y in range(n)))
 
 
 def additive_closure(add_table: Table, mask: int) -> int:

@@ -216,11 +216,11 @@ class PairContext:
 
     @cached_property
     def units_s(self) -> frozenset[int]:
-        return self.scalar_census.units.members
+        return self.scalar_census.units
 
     @cached_property
     def vset_m(self) -> frozenset[int]:
-        return self.module_census.v_set.members
+        return self.module_census.v_set
 
     @cached_property
     def vset_full(self) -> bool:
@@ -232,27 +232,27 @@ class PairContext:
 
     @cached_property
     def z_s(self) -> frozenset[int]:
-        return self.scalar_census.zero_divisors.members
+        return self.scalar_census.zero_divisors
 
     @cached_property
     def z_m(self) -> frozenset[int]:
-        return self.module_census.zero_divisors.members
+        return self.module_census.zero_divisors
 
     @cached_property
     def nil_s(self) -> frozenset[int]:
-        return self.scalar_census.nilpotents.members
+        return self.scalar_census.nilpotents
 
     @cached_property
     def units_e(self) -> frozenset[int]:
-        return self.product_census.units.members
+        return self.product_census.units
 
     @cached_property
     def z_e(self) -> frozenset[int]:
-        return self.product_census.zero_divisors.members
+        return self.product_census.zero_divisors
 
     @cached_property
     def nil_e(self) -> frozenset[int]:
-        return self.product_census.nilpotents.members
+        return self.product_census.nilpotents
 
 
 def _first_non_box(ctx: PairContext, role: str, ideals, qualifies) -> dict | None:
@@ -323,12 +323,12 @@ def check_matrix_presentation(ctx: PairContext):
 
 def check_grading(ctx: PairContext):
     try:
-        dec = graded_decomposition(ctx.instance)
+        t0, t1 = graded_decomposition(ctx.instance)
     except RuntimeError as exc:
         return FAIL, {"reason": str(exc)}
-    if len(dec.t0) != ctx.semiring.size or len(dec.t1) != ctx.module.size:
+    if len(t0) != ctx.semiring.size or len(t1) != ctx.module.size:
         return FAIL, {"reason": "slice sizes wrong"}
-    if dec.t0.members & dec.t1.members != {ctx.product.zero}:
+    if t0 & t1 != {ctx.product.zero}:
         return FAIL, {"reason": "slices overlap beyond zero"}
     return PASS, None
 
@@ -512,10 +512,10 @@ def check_idempotents_formula(ctx: PairContext):
         for (s, x) in [ctx.instance.pair_of(k)]
         if s_ring.mul(s, s) == s and module.add(module.act(s, x), module.act(s, x)) == x
     )
-    got = ctx.product_census.idempotents.members
+    got = ctx.product_census.idempotents
     if got != expected:
         return FAIL, {"idempotents": ctx.pairs_of(got)}
-    if ctx.module_census.additive_idempotents.members == {module.zero}:
+    if ctx.module_census.additive_idempotents == {module.zero}:
         for k in got:
             if ctx.instance.pair_of(k)[1] != module.zero:
                 return FAIL, {"reason": "idempotent with nonzero vector part", "element": ctx.pair(k)}
@@ -597,8 +597,8 @@ def check_weakly_clean_transfer(ctx: PairContext):
 
 def check_additively_regular_componentwise(ctx: PairContext):
     s, m, e = ctx.scalar_census, ctx.module_census, ctx.product_census
-    regular_s, regular_m = s.additively_regular_elements.members, m.additively_regular_elements.members
-    got = e.additively_regular_elements.members
+    regular_s, regular_m = s.additively_regular_elements, m.additively_regular_elements
+    got = e.additively_regular_elements
     expected = box_members(ctx.instance, regular_s, regular_m)
     if got != expected:
         return FAIL, {"regular": ctx.pairs_of(got)}
@@ -609,7 +609,7 @@ def check_additively_regular_componentwise(ctx: PairContext):
 
 def check_v_set_law(ctx: PairContext):
     for census in (ctx.scalar_census, ctx.module_census, ctx.product_census):
-        structure, members = census.structure, census.v_set.members
+        structure, members = census.structure, census.v_set
         for x in structure.elements():
             for y in structure.elements():
                 if (structure.add_table[x][y] in members) != (x in members and y in members):

@@ -7,6 +7,7 @@ timings as they happen.
 import hashlib
 import json
 import random
+from pathlib import Path
 from time import perf_counter
 
 from semiringlab import (
@@ -211,20 +212,32 @@ def test_criterion_4_weakly_prime_forward_probe():
     timed(4, 60.0, body)
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    inst, census = namespace["inst"], namespace["census"]
+    # the values the example's comments promise
+    assert inst.product.size == 16
+    assert inst.pair_of(min(census.units)) == (1, 0)
+    assert census.clean is True
+
+
 def test_criterion_5_spot_values():
     def body():
         b = builtin("boolean").structure
         bb = build_expectation(b, self_module(b))
         pairs = lambda members: {bb.pair_of(k) for k in members}
-        assert pairs(Census(bb.product).units.members) == {(1, 0)}
-        assert pairs(Census(bb.product).nilpotents.members) == {(0, 0), (0, 1)}
-        assert pairs(Census(bb.product).zero_divisors.members) == {(0, 0), (0, 1)}
-        assert pairs(Census(bb.product).idempotents.members) == {(0, 0), (1, 0), (1, 1)}
+        assert pairs(Census(bb.product).units) == {(1, 0)}
+        assert pairs(Census(bb.product).nilpotents) == {(0, 0), (0, 1)}
+        assert pairs(Census(bb.product).zero_divisors) == {(0, 0), (0, 1)}
+        assert pairs(Census(bb.product).idempotents) == {(0, 0), (1, 0), (1, 1)}
         assert Census(bb.product).presimplifiable is False
 
         z4 = builtin("zmod_4").structure
         z4z4 = build_expectation(z4, self_module(z4))
-        pairs4 = {z4z4.pair_of(k) for k in Census(z4z4.product).idempotents.members}
+        pairs4 = {z4z4.pair_of(k) for k in Census(z4z4.product).idempotents}
         assert pairs4 == {(0, 0), (1, 0)}
         assert Census(z4z4.product).clean is True
         assert classify(z4z4.product)["flags"]["clean"] is True

@@ -70,6 +70,14 @@ def test_expectation_build_and_ideals(capsys, tmp_path, z4_file, module_file):
     assert any(row["prime"] for row in rows if row["proper"])
 
 
+def test_ideals_report_without_a_pairing_lists_plain_indices(capsys, tmp_path, z4_file):
+    report = tmp_path / "ideals.json"
+    assert main(["ideals", "--instance", z4_file, "--report", str(report)]) == 0
+    rows = json.loads(report.read_text())["ideals"]
+    assert [row["members"] for row in rows] == [[0], [0, 2], [0, 1, 2, 3]]
+    assert [row["radical"] for row in rows] == [[0, 2], [0, 2], [0, 1, 2, 3]]
+
+
 @pytest.mark.parametrize("pairing", [[[0, 0]], [0, 1], 5], ids=["one-pair-for-two-elements", "flat-list", "number"])
 def test_ideals_rejects_a_malformed_pairing(capsys, tmp_path, pairing):
     data = semiring_to_dict(builtin("boolean").structure)
@@ -142,6 +150,14 @@ def test_classify_product(capsys, tmp_path, z4_file, module_file):
             "additively_regular": True,
         },
     }
+
+
+def test_classify_out_file_holds_the_printed_payload(capsys, tmp_path, z4_file):
+    out_file = tmp_path / "class.json"
+    assert main(["classify", "--instance", z4_file, "--out", str(out_file)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads(out_file.read_text()) == printed
+    assert printed["units"] == [1, 3] and printed["zero_divisors"] == [0, 2]
 
 
 def test_enumerate_semirings_to_dir(capsys, tmp_path):
@@ -312,6 +328,7 @@ def test_usage_error_exits_two(capsys):
         [],
         ["expect", "--graph", "g.json", "--oracle", "--max-paths", "-1"],
         ["expect", "--graph", "g.json", "--max-paths", "0"],
+        ["verify-theorems", "--jobs", "0"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

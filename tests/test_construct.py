@@ -108,10 +108,10 @@ def test_matrix_presentation_rejects_a_product_off_the_factors(field):
 
 def test_degree_slices_of_boolean_pair():
     inst = boolean_pair()
-    dec = graded_decomposition(inst)
-    as_pairs = lambda subset: {inst.pair_of(k) for k in subset.members}
-    assert as_pairs(dec.t0) == {(0, 0), (1, 0)}
-    assert as_pairs(dec.t1) == {(0, 0), (0, 1)}
+    t0, t1 = graded_decomposition(inst)
+    as_pairs = lambda members: {inst.pair_of(k) for k in members}
+    assert as_pairs(t0) == {(0, 0), (1, 0)}
+    assert as_pairs(t1) == {(0, 0), (0, 1)}
 
 
 def test_degree_one_times_degree_one_vanishes():

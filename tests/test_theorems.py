@@ -1,7 +1,7 @@
 import multiprocessing
 import os
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 
 import pytest
 
@@ -16,7 +16,7 @@ from semiringlab import (
     theorems,
     weakly_prime_forward_probe,
 )
-from semiringlab.ideals import Ideal, NotAnIdeal
+from semiringlab.ideals import Ideal, NotAnIdeal, NotASubmodule, Subsemimodule
 from semiringlab.tables import FiniteSemimodule, same_semiring
 from semiringlab.theorems import (
     CHECKS,
@@ -120,16 +120,23 @@ def test_context_ideal_reads_the_enumeration_and_validates_the_rest():
     box = ctx.boxables[-1][2]
     assert ctx.ideal("product", box.members) is next(j for j in ctx.ideals_e if j.members == box.members)
     # a set outside the enumeration fails exactly as the validating constructor does:
-    # {0, 1} is not closed under addition, and the scalar copy {(s, 0)} is closed
-    # under addition but does not absorb the product
+    # {0, 1} is not closed under addition, the scalar copy {(s, 0)} is closed
+    # under addition but does not absorb the product, and the module set {1}
+    # is not closed under addition either (1 + 1 = 2)
     scalar_copy = frozenset(ctx.instance.index_of(s, 0) for s in z4.elements())
-    for role, carrier, members in (("scalar", z4, frozenset({0, 1})), ("product", ctx.product, scalar_copy)):
-        with pytest.raises(NotAnIdeal) as err:
-            ctx.ideal(role, members)
-        with pytest.raises(NotAnIdeal) as direct:
-            Ideal(carrier, members)
+    rows = (
+        (partial(ctx.ideal, "scalar"), partial(Ideal, z4), frozenset({0, 1}), NotAnIdeal),
+        (partial(ctx.ideal, "product"), partial(Ideal, ctx.product), scalar_copy, NotAnIdeal),
+        (ctx.submodule, partial(Subsemimodule, ctx.module), frozenset({1}), NotASubmodule),
+    )
+    for read, construct, members, error in rows:
+        with pytest.raises(error) as err:
+            read(members)
+        with pytest.raises(error) as direct:
+            construct(members)
         assert err.value.witness == direct.value.witness != ()
         assert str(err.value) == str(direct.value)
+    assert str(err.value) == "not a subsemimodule: fails add closure at (1, 1)"
 
 
 def test_primary_box_criterion_requires_a_primary_scalar_part():
