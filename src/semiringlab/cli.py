@@ -93,9 +93,10 @@ def cmd_validate(args) -> int:
     results = []
     status = 0
     for path in args.paths:
-        data = _load_json(path)
-        kind = "semimodule" if "action" in data else "semiring"
+        kind = None
         try:
+            data = _load_json(path)
+            kind = "semimodule" if "action" in data else "semiring"
             if kind == "semimodule":
                 base = _resolve_base(data, path)
                 violations = semimodule_violations(base, data)
@@ -108,8 +109,9 @@ def cmd_validate(args) -> int:
             catalog.UnknownName,
             NotAnObject,
             json.JSONDecodeError,
+            UnicodeDecodeError,
             OSError,
-        ) as exc:  # a malformed table, or a base that names no builtin or cannot be read
+        ) as exc:  # an unreadable file, a malformed table, or a base that names no builtin or cannot be read
             print(f"{path}: ERROR {exc}")
             results.append({"path": path, "kind": kind, "valid": False, "error": str(exc)})
             status = 1

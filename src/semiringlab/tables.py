@@ -6,8 +6,13 @@ so imported tables keep their original numbering.  Row index is always the
 left operand.
 
 Validation scans every axiom over all element tuples and reports each
-violated axiom with a witness, not only the first failure.  Structures are
-immutable once built and safe to share between concurrent workers.
+violated axiom with a witness, not only the first failure.  The cubic
+associativity and distributivity scans build both sides of the law for one
+outer index as a bytes string and compare the whole row at once; every
+triple is still checked, and the first differing byte gives the row-major
+first witness.  A carrier of more than 256 elements does not fit in bytes
+and takes the triple loop.  Structures are immutable once built and safe to
+share between concurrent workers.
 """
 
 from __future__ import annotations
@@ -174,12 +179,16 @@ def _first_noncommutative(table: Table, n: int) -> tuple[int, int] | None:
     return None
 
 
-def first_nonassociative(mul: Table, act: Table) -> tuple[int, int, int] | None:
-    """First ``(a, b, c)`` with ``act[mul[a][b]][c] != act[a][act[b][c]]``, or None.
+# A bytes value holds 0..255, so a carrier of up to 256 elements fits in one byte per entry.
+_BYTE_CARRIER = 256
 
-    Associativity of a table ``t`` is ``(t, t)``; the module law
-    ``(st)x = s(tx)`` is ``(base.mul_table, action)``.
-    """
+
+def _first_difference(left: bytes, right: bytes) -> int:
+    """Index of the first byte at which two strings of equal length differ."""
+    return next(k for k, (u, v) in enumerate(zip(left, right)) if u != v)
+
+
+def _nonassociative_loop(mul: Table, act: Table) -> tuple[int, int, int] | None:
     for a, mul_a in enumerate(mul):
         act_a = act[a]
         for b, ab in enumerate(mul_a):
@@ -187,6 +196,30 @@ def first_nonassociative(mul: Table, act: Table) -> tuple[int, int, int] | None:
             for c, bc in enumerate(act[b]):
                 if act_ab[c] != act_a[bc]:
                     return (a, b, c)
+    return None
+
+
+def first_nonassociative(mul: Table, act: Table) -> tuple[int, int, int] | None:
+    """First ``(a, b, c)`` with ``act[mul[a][b]][c] != act[a][act[b][c]]``, or None.
+
+    Associativity of a table ``t`` is ``(t, t)``; the module law
+    ``(st)x = s(tx)`` is ``(base.mul_table, action)``.  For each ``a`` both
+    sides are built as one bytes string holding ``(b, c)`` at ``b * m + c``,
+    so one ``==`` checks every ``(b, c)`` of the row, and the first differing
+    byte is the row-major first witness.  Rows of more than ``_BYTE_CARRIER``
+    entries do not fit in bytes and take the triple loop.
+    """
+    m = len(act[0])
+    if m > _BYTE_CARRIER:
+        return _nonassociative_loop(mul, act)
+    pad = bytes(_BYTE_CARRIER - m)
+    rows = [bytes(row) for row in act]
+    flat = b"".join(rows)  # act[b][c]
+    for a, mul_a in enumerate(mul):
+        left = b"".join(map(rows.__getitem__, mul_a))  # act[mul[a][b]][c]
+        right = flat.translate(rows[a] + pad)  # act[a][act[b][c]]
+        if left != right:
+            return (a, *divmod(_first_difference(left, right), m))
     return None
 
 
@@ -202,19 +235,38 @@ def _first_bad_scalar_sum(s_add: Table, add: Table, act: Table) -> tuple[int, in
     return None
 
 
-def first_nondistributive(add: Table, rows: Table) -> tuple[int, int, int] | None:
-    """First ``(r, x, y)`` with ``rows[r][x + y] != rows[r][x] + rows[r][y]``, or None.
-
-    Each row is a map on the carrier of ``add``.  Left distributivity is
-    ``(add, mul)``, right distributivity ``(add, transpose(mul))`` and the
-    module law ``s(x + y) = sx + sy`` is ``(add, action)``.
-    """
+def _nondistributive_loop(add: Table, rows: Table) -> tuple[int, int, int] | None:
     for r, row in enumerate(rows):
         for x, add_x in enumerate(add):
             rx = add[row[x]]
             for y, xy in enumerate(add_x):
                 if row[xy] != rx[row[y]]:
                     return (r, x, y)
+    return None
+
+
+def first_nondistributive(add: Table, rows: Table) -> tuple[int, int, int] | None:
+    """First ``(r, x, y)`` with ``rows[r][x + y] != rows[r][x] + rows[r][y]``, or None.
+
+    Each row is a map on the carrier of ``add``.  Left distributivity is
+    ``(add, mul)``, right distributivity ``(add, transpose(mul))`` and the
+    module law ``s(x + y) = sx + sy`` is ``(add, action)``.  As in
+    ``first_nonassociative``, both sides for one ``r`` are one bytes string
+    holding ``(x, y)`` at ``x * m + y``; a carrier of more than
+    ``_BYTE_CARRIER`` elements takes the triple loop.
+    """
+    m = len(add)
+    if m > _BYTE_CARRIER:
+        return _nondistributive_loop(add, rows)
+    pad = bytes(_BYTE_CARRIER - m)
+    sums = [bytes(row) + pad for row in add]
+    flat = b"".join(bytes(row) for row in add)  # x + y
+    for r, row in enumerate(rows):
+        row_bytes = bytes(row)
+        left = flat.translate(row_bytes + pad)  # row[x + y]
+        right = b"".join([row_bytes.translate(sums[u]) for u in row])  # row[x] + row[y]
+        if left != right:
+            return (r, *divmod(_first_difference(left, right), m))
     return None
 
 

@@ -78,8 +78,8 @@ def test_each_comparison_appends_one_record(capsys, monkeypatch, tmp_path):
     pass_s = record["metrics"]["pass_s"]
     assert pass_s["base"] == pytest.approx({"q1": 2.05, "median": 2.1, "q3": 2.15})
     assert pass_s["change"] == pytest.approx({"q1": 1.05, "median": 1.1, "q3": 1.15})
-    assert pass_s["wins"] == 3 and pass_s["base_iqr"] == pytest.approx(0.1)
-    assert record["metrics"]["setup_s"]["wins"] == 0
+    assert pass_s["wins"] == 3 and pass_s["base_iqr"] == pytest.approx(0.1) and pass_s["claim"] is True
+    assert record["metrics"]["setup_s"]["wins"] == 0 and record["metrics"]["setup_s"]["claim"] is False
 
     # a second comparison, whose digests differ, adds a second record
     fake_runs(bench_pairs, monkeypatch, change_digest="def")
@@ -110,3 +110,31 @@ def test_head_commit_is_read_only_at_the_top_of_a_work_tree(tmp_path):
     assert bench_pairs.head_commit(tree) == sha
     (tree / "src" / "code.py").write_text("x = 2\n")
     assert bench_pairs.head_commit(tree) == sha + "-dirty"
+
+
+@pytest.mark.parametrize(
+    "gains, claim",
+    [([0.5] * 10, True), ([0.3] * 10, False), ([0.5] * 9 + [-0.5], True), ([0.5] * 8 + [-0.5] * 2, False)],
+    ids=["clear", "inside-the-iqr", "nine-wins", "eight-wins"],
+)
+def test_a_claim_needs_nine_wins_in_ten_and_a_gap_past_the_base_iqr(capsys, monkeypatch, tmp_path, gains, claim):
+    bench_pairs = load_script()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        # base pass i takes 2.0 + i/10 s (IQR 0.45 s over ten); change pass i takes gains[i] s less
+        side = checkout.name
+        i = sum(1 for c in calls if c == side)
+        calls.append(side)
+        pass_s = 2.0 + i / 10 - (gains[i] if side == "change" else 0.0)
+        return {"metrics": {"setup_s": 0.5, "pass_s": pass_s}, "digest": "abc", "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(checkouts(tmp_path) + ["--workload", "grid-order4", "--pairs", "10"]) == 0
+    [record] = json.loads((tmp_path / "BENCH_grid-order4.json").read_text(encoding="utf-8"))
+    pass_s = record["metrics"]["pass_s"]
+    assert pass_s["base_iqr"] == pytest.approx(0.45)
+    assert (pass_s["wins"], pass_s["claim"]) == (sum(g > 0 for g in gains), claim)
+    row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("pass_s"))
+    assert row.split()[-1] == ("yes" if claim else "no")

@@ -103,6 +103,29 @@ def test_validate_reports_a_bad_module_base_and_goes_on(capsys, tmp_path, z4_fil
     assert base in results[0]["error"]
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [("[1]", "top level must be a JSON object, not list"), ("{bad", "Expecting property name"),
+     (None, "No such file"), (b"\xff\xfe", "can't decode byte")],
+    ids=["list", "broken-json", "missing", "not-utf8"],
+)
+def test_validate_reports_a_bad_file_and_goes_on(capsys, tmp_path, z4_file, content, message):
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    report = tmp_path / "report.json"
+    assert main(["validate", z4_file, str(bad), z4_file, "--json", str(report)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == lines[2] == f"{z4_file}: valid semiring"
+    assert lines[1].startswith(f"{bad}: ERROR ") and message in lines[1]
+    assert len(lines) == 3
+    results = json.loads(report.read_text())["results"]
+    assert [r["valid"] for r in results] == [True, False, True]
+    assert results[1] == {"path": str(bad), "kind": None, "valid": False, "error": lines[1].split(": ERROR ", 1)[1]}
+
+
 def test_a_null_module_base_falls_back_to_the_semiring(capsys, tmp_path, z4_file):
     data = semimodule_to_dict(zmod_quotient_module(4, 2), include_base=False)
     outputs = []
@@ -318,8 +341,12 @@ def test_non_object_json_is_a_typed_error(capsys, tmp_path, command, payload):
     path = write(tmp_path / "top.json", payload)
     argv = [command, path] if command == "validate" else [command, "--instance", path]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "must be a JSON object" in err
+    captured = capsys.readouterr()
+    if command == "validate":  # one ERROR row for the file, as for a malformed table
+        assert captured.out.startswith(f"{path}: ERROR ") and "must be a JSON object" in captured.out
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("error: ") and "must be a JSON object" in captured.err
 
 
 def test_usage_error_exits_two(capsys):

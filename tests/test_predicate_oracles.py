@@ -12,7 +12,11 @@ with their definitions through the pair bijection on every cell, and the
 legal boxes ``PairContext.boxables`` lists with a literal ``a*x`` loop.  The
 action-law scans are compared with literal ``s, t, x`` loops on every
 self-action and module of order at most 3 over the order-2/3 semirings, and
-on seeded corruptions of their action tables.
+on seeded corruptions of their action tables.  The associativity and
+distributivity scans, and the whole ``semiring_violations`` list, are
+compared with literal ``itertools.product`` loops on every product of the
+default order-3 grid (2 to 16 elements) and on seeded single-entry
+corruptions of its tables.
 """
 
 import itertools
@@ -41,10 +45,12 @@ from semiringlab import (
     semimodule_to_dict,
     semimodule_violations,
     semiring_as_module,
+    semiring_to_dict,
+    semiring_violations,
 )
 from semiringlab.construct import _is_graded, box_members, projections
 from semiringlab.ideals import ideal_violation, submodule_violation
-from semiringlab.tables import first_nonassociative
+from semiringlab.tables import first_nonassociative, first_nondistributive
 from semiringlab.theorems import PairContext
 
 WITNESS_CARRIER = 9
@@ -401,3 +407,53 @@ def test_action_law_scans_match_literal_loops():
             assert trial or not got
             broken += bool(got)
     assert len(modules) > 50 and broken > 50
+
+
+def literal_semiring_violations(data):
+    """Every semiring axiom of in-range tables, each with its row-major first witness from a literal loop."""
+    n, zero, one, add, mul = data["size"], data["zero"], data["one"], data["add"], data["mul"]
+
+    def first(arity, holds):
+        return next((t for t in itertools.product(range(n), repeat=arity) if not holds(*t)), None)
+
+    laws = [("zero_one_distinct", (zero,) if zero == one else None)]
+    for op, t, e in (("add", add, zero), ("mul", mul, one)):
+        laws += [
+            (f"{op}_identity", first(1, lambda x: t[e][x] == x and t[x][e] == x)),
+            (f"{op}_commutativity", first(2, lambda a, b: a >= b or t[a][b] == t[b][a])),
+            (f"{op}_associativity", first(3, lambda a, b, c: t[t[a][b]][c] == t[a][t[b][c]])),
+        ]
+    laws += [
+        ("zero_annihilation", first(1, lambda a: mul[a][zero] == zero and mul[zero][a] == zero)),
+        ("left_distributivity", first(3, lambda r, x, y: mul[r][add[x][y]] == add[mul[r][x]][mul[r][y]])),
+        ("right_distributivity", first(3, lambda r, x, y: mul[add[x][y]][r] == add[mul[x][r]][mul[y][r]])),
+    ]
+    return [(law, w) for law, w in laws if w]
+
+
+def test_product_law_scans_match_literal_loops():
+    rng = random.Random(11)
+    products, seen = [], set()
+    for cell in default_grid(max_order=3):
+        product = build_expectation(cell.semiring, cell.module).product
+        if _key(product) not in seen:
+            seen.add(_key(product))
+            products.append(product)
+    broken = 0
+    for product in products:
+        n = product.size
+        for trial in range(9):
+            data = semiring_to_dict(product)
+            if trial:  # trial 0 keeps the valid tables; the others change one entry of add or mul
+                data[("add", "mul")[trial % 2]][rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            expected = literal_semiring_violations(data)
+            add, mul = (tuple(map(tuple, data[op])) for op in ("add", "mul"))
+            laws = dict(expected)
+            assert first_nonassociative(add, add) == laws.get("add_associativity"), product.name
+            assert first_nonassociative(mul, mul) == laws.get("mul_associativity"), product.name
+            assert first_nondistributive(add, mul) == laws.get("left_distributivity"), product.name
+            assert first_nondistributive(add, tuple(zip(*mul))) == laws.get("right_distributivity"), product.name
+            assert [(v.axiom, v.witness) for v in semiring_violations(data)] == expected, (product.name, data)
+            assert trial or not expected
+            broken += any(law.endswith(("associativity", "distributivity")) for law, _w in expected)
+    assert len(products) == 60 and max(p.size for p in products) == 16 and broken > 300

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from semiringlab import (
     validate_semiring,
 )
 from semiringlab.cli import main
+from semiringlab.tables import first_nonassociative, first_nondistributive
 
 BOOLEAN = {
     "name": "boolean",
@@ -307,3 +309,24 @@ def test_action_add_scalar_witness_is_pinned():
     base = validate_semiring(BOOLEAN)
     data = {"size": 2, "zero": 0, "add": [[0, 1], [1, 0]], "action": [[0, 0], [0, 1]]}
     assert [(v.axiom, v.witness) for v in semimodule_violations(base, data)] == [("action_add_scalar", (1, 1, 1))]
+
+
+def literal_first(size, holds):
+    """First row-major triple over 0..size-1 at which ``holds`` is false, or None."""
+    return next((t for t in itertools.product(range(size), repeat=3) if not holds(*t)), None)
+
+
+@pytest.mark.parametrize("size", [256, 257, 300])
+def test_cubic_scans_on_carriers_past_one_byte(size):
+    # the chain 0 < 1 < ... with max as addition and min as multiplication is a
+    # distributive lattice; a planted entry in each table breaks its law in an early row
+    join = [[max(i, j) for j in range(size)] for i in range(size)]
+    meet = [[min(i, j) for j in range(size)] for i in range(size)]
+    join[2][3] = size - 1
+    meet[1][size - 1] = 0
+    join, meet = tuple(map(tuple, join)), tuple(map(tuple, meet))
+    assoc = literal_first(size, lambda a, b, c: join[join[a][b]][c] == join[a][join[b][c]])
+    dist = literal_first(size, lambda r, x, y: meet[r][join[x][y]] == join[meet[r][x]][meet[r][y]])
+    assert assoc == (2, 3, 4) and dist == (1, 1, size - 1)
+    assert first_nonassociative(join, join) == assoc
+    assert first_nondistributive(join, meet) == dist

@@ -11,7 +11,10 @@ the ``run_seconds`` of BASE's BENCHMARK.json, so both sides run as long.
 
 The script prints every pair's end-to-end metrics and verdict digest, then,
 per metric, each side's median and quartiles, the number of pairs the change
-won (ties count for neither side) and the base's interquartile range.  It then
+won (ties count for neither side), the base's interquartile range and whether
+a gain on that metric can be claimed: the change won at least 9 of every 10
+pairs and its median beats the base's by more than the base's interquartile
+range.  It then
 appends the same figures as one record to ``BENCH_<workload>.json`` in the
 working directory, a JSON list with one record per completed comparison: both
 checkout paths as given and each one's ``HEAD`` commit (null unless the
@@ -128,7 +131,7 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, {args.pairs} pairs, seed {args.seed}, {seconds:g} s runs")
     print(f"{'metric':12s} {'base q1 / median / q3':>29s} {'change q1 / median / q3':>29s}"
-          f" {'shift':>8s} {'wins':>6s} {'base IQR':>9s}")
+          f" {'shift':>8s} {'wins':>6s} {'base IQR':>9s} {'claim':>5s}")
     summary = {}
     for name, lower in lower_is_better.items():
         base = [r["metrics"][name] for r in runs["base"]]
@@ -136,11 +139,14 @@ def main(argv=None) -> int:
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         bq, cq = quartiles(base), quartiles(change)
         shift = (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
+        iqr = bq[2] - bq[0]
+        gain = bq[1] - cq[1] if lower else cq[1] - bq[1]
+        claim = wins * 10 >= 9 * args.pairs and gain > iqr
         print(f"{name:12s} {bq[0]:9.4f} {bq[1]:9.4f} {bq[2]:9.4f} {cq[0]:9.4f} {cq[1]:9.4f} {cq[2]:9.4f}"
-              f" {shift:+8.1%} {wins:3d}/{args.pairs:<2d} {bq[2] - bq[0]:9.4f}")
+              f" {shift:+8.1%} {wins:3d}/{args.pairs:<2d} {iqr:9.4f} {'yes' if claim else 'no':>5s}")
         summary[name] = {"base": dict(zip(("q1", "median", "q3"), bq)),
                          "change": dict(zip(("q1", "median", "q3"), cq)),
-                         "wins": wins, "base_iqr": bq[2] - bq[0]}
+                         "wins": wins, "base_iqr": iqr, "claim": claim}
 
     digests = {side: {r["digest"] for r in runs[side]} for side in sides}
     print(f"verdict digests: base {sorted(map(str, digests['base']))}, change {sorted(map(str, digests['change']))}")
