@@ -21,6 +21,7 @@ to 1.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Union
@@ -30,11 +31,10 @@ from .tables import (
     FiniteSemimodule,
     FiniteSemiring,
     InvalidStructure,
+    Table,
+    checked_semimodule,
+    checked_semiring,
     same_semiring,
-    semiring_as_module,
-    semimodule_to_dict,
-    validate_semimodule,
-    validate_semiring,
 )
 
 MAX_ENUM_ORDER = 4
@@ -55,28 +55,14 @@ class CatalogEntry:
     provenance: str  # "builtin" or "enumerated"
 
 
-def _op_data(name: str, n: int, one: int, add, mul) -> dict:
-    """Table data of the semiring on 0..n-1 with zero 0 and the given operations."""
-    return {
-        "name": name,
-        "size": n,
-        "zero": 0,
-        "one": one,
-        "add": [[add(i, j) for j in range(n)] for i in range(n)],
-        "mul": [[mul(i, j) for j in range(n)] for i in range(n)],
-    }
+def _table(n_rows: int, n_cols: int, op) -> Table:
+    """The table of ``op`` on rows 0..n_rows-1 and columns 0..n_cols-1."""
+    return tuple(tuple(op(i, j) for j in range(n_cols)) for i in range(n_rows))
 
 
-def _diamond_data() -> dict:
-    # Four-element lattice 0 < {1, 2} < 3 with two incomparable midpoints.
-    return {
-        "name": "diamond",
-        "size": 4,
-        "zero": 0,
-        "one": 3,
-        "add": [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]],
-        "mul": [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]],
-    }
+def _op_semiring(name: str, n: int, one: int, add, mul) -> FiniteSemiring:
+    """The semiring on 0..n-1 with zero 0 and the given operations."""
+    return checked_semiring(_table(n, n, add), _table(n, n, mul), 0, one, name)
 
 
 def _is_prime_number(p: int) -> bool:
@@ -86,36 +72,38 @@ def _is_prime_number(p: int) -> bool:
 
 
 def builtin(name: str) -> CatalogEntry:
-    """Look up a named builtin semiring; tables are run through the validator."""
+    """Look up a named builtin semiring; its tables go through the axiom scans."""
     if name == "boolean":
-        data = _op_data(name, 2, 1, max, min)
+        structure = _op_semiring(name, 2, 1, max, min)
     elif name == "diamond":
-        data = _diamond_data()
+        # Four-element lattice 0 < {1, 2} < 3 with two incomparable midpoints:
+        # the subsets of a two-point set as bitmasks, join | and meet &.
+        structure = _op_semiring(name, 4, 3, operator.or_, operator.and_)
     elif m := re.fullmatch(r"chain_(\d+)", name):
         k = int(m.group(1))
         if k < 1:
             raise UnknownName(f"chain height must be >= 1: {name}")
-        data = _op_data(f"chain_{k}", k + 1, k, max, min)
+        structure = _op_semiring(f"chain_{k}", k + 1, k, max, min)
     elif m := re.fullmatch(r"trunc_nat_(\d+)", name):
         k = int(m.group(1))
         if k < 1:
             raise UnknownName(f"truncation bound must be >= 1: {name}")
-        data = _op_data(
+        structure = _op_semiring(
             f"trunc_nat_{k}", k + 1, 1, lambda i, j: min(i + j, k), lambda i, j: min(i * j, k)
         )
     elif m := re.fullmatch(r"zmod_(\d+)", name):
         n = int(m.group(1))
         if n < 2:
             raise UnknownName(f"modulus must be >= 2: {name}")
-        data = _op_data(f"zmod_{n}", n, 1, lambda i, j: (i + j) % n, lambda i, j: (i * j) % n)
+        structure = _op_semiring(f"zmod_{n}", n, 1, lambda i, j: (i + j) % n, lambda i, j: (i * j) % n)
     elif m := re.fullmatch(r"field_(\d+)", name):
         p = int(m.group(1))
         if not _is_prime_number(p):
             raise UnknownName(f"field order must be prime here: {name}")
-        data = _op_data(name, p, 1, lambda i, j: (i + j) % p, lambda i, j: (i * j) % p)
+        structure = _op_semiring(name, p, 1, lambda i, j: (i + j) % p, lambda i, j: (i * j) % p)
     else:
         raise UnknownName(f"no builtin named {name!r}")
-    return CatalogEntry(name=name, structure=validate_semiring(data), provenance="builtin")
+    return CatalogEntry(name=name, structure=structure, provenance="builtin")
 
 
 BUILTIN_SEMIRING_NAMES = (
@@ -136,21 +124,12 @@ BUILTIN_SEMIRING_NAMES = (
 
 def trivial_module(semiring: FiniteSemiring) -> FiniteSemimodule:
     """The one-element module over any semiring."""
-    return validate_semimodule(
-        semiring,
-        {
-            "name": "zero",
-            "size": 1,
-            "zero": 0,
-            "add": [[0]],
-            "action": [[0] for _ in range(semiring.size)],
-        },
-    )
+    return checked_semimodule(semiring, ((0,),), ((0,),) * semiring.size, 0, "zero")
 
 
 def self_module(semiring: FiniteSemiring) -> FiniteSemimodule:
     """The semiring acting on itself by multiplication (validated)."""
-    return validate_semimodule(semiring, semimodule_to_dict(semiring_as_module(semiring), include_base=False))
+    return checked_semimodule(semiring, semiring.add_table, semiring.mul_table, semiring.zero, semiring.name)
 
 
 def zmod_quotient_module(n: int, d: int) -> FiniteSemimodule:
@@ -158,15 +137,8 @@ def zmod_quotient_module(n: int, d: int) -> FiniteSemimodule:
     if n % d != 0:
         raise BaseMismatch(f"{d} does not divide {n}; reduction is not well defined")
     base = builtin(f"zmod_{n}").structure
-    return validate_semimodule(
-        base,
-        {
-            "name": f"zmod_{d}",
-            "size": d,
-            "zero": 0,
-            "add": [[(i + j) % d for j in range(d)] for i in range(d)],
-            "action": [[(s * x) % d for x in range(d)] for s in range(n)],
-        },
+    return checked_semimodule(
+        base, _table(d, d, lambda i, j: (i + j) % d), _table(n, d, lambda s, x: (s * x) % d), 0, f"zmod_{d}"
     )
 
 
@@ -176,21 +148,12 @@ def product_module(m1: FiniteSemimodule, m2: FiniteSemimodule) -> FiniteSemimodu
         raise BaseMismatch("product modules need a common base semiring")
     m = m2.size  # the pair (x, y) has index x * m + y
     pairs = [(x, y) for x in range(m1.size) for y in range(m)]
-    return validate_semimodule(
+    return checked_semimodule(
         m1.base,
-        {
-            "name": f"{m1.name or 'M'}x{m2.name or 'N'}",
-            "size": len(pairs),
-            "zero": m1.zero * m + m2.zero,
-            "add": [
-                [m1.add(x1, x2) * m + m2.add(y1, y2) for (x2, y2) in pairs]
-                for (x1, y1) in pairs
-            ],
-            "action": [
-                [m1.act(s, x) * m + m2.act(s, y) for (x, y) in pairs]
-                for s in range(m1.base.size)
-            ],
-        },
+        tuple(tuple(m1.add(x1, x2) * m + m2.add(y1, y2) for x2, y2 in pairs) for x1, y1 in pairs),
+        tuple(tuple(m1.act(s, x) * m + m2.act(s, y) for x, y in pairs) for s in m1.base.elements()),
+        m1.zero * m + m2.zero,
+        f"{m1.name or 'M'}x{m2.name or 'N'}",
     )
 
 
@@ -226,7 +189,7 @@ def builtin_pairs(max_product: int = 16) -> list[tuple[str, FiniteSemiring, Fini
     return pairs
 
 
-def _search(table: dict, cells: list, values: range, fails):
+def _search(table: dict, cells: list, values: range, fails, k: int = 0):
     """Depth-first completions of a partial table: the one search behind every enumerator.
 
     ``table`` maps ``(row, col)`` to a value and holds the fixed cells.  The
@@ -237,22 +200,22 @@ def _search(table: dict, cells: list, values: range, fails):
     whether a law instance that can read the cell is broken.  A cell not
     filled yet reads as None, so does every lookup through it, and an
     instance with a None side waits for a later cell.  The yielded table is
-    live: copy what you keep.
+    live: copy what you keep.  ``k`` is the index of the next cell to fill;
+    the search recurses on itself rather than through a nested function,
+    which would refer to itself and leave every search as a reference cycle
+    for the garbage collector.
     """
-
-    def fill(k: int):
-        if k == len(cells):
-            yield table
-            return
-        for v in values:
-            for pos in cells[k]:
-                table[pos] = v
-            if not fails(table.get, cells[k][0]):
-                yield from fill(k + 1)
-        for pos in cells[k]:
-            table[pos] = None
-
-    return fill(0)
+    if k == len(cells):
+        yield table
+        return
+    cell = cells[k]
+    for v in values:
+        for pos in cell:
+            table[pos] = v
+        if not fails(table.get, cell[0]):
+            yield from _search(table, cells, values, fails, k + 1)
+    for pos in cell:
+        table[pos] = None
 
 
 def _broken(pairs) -> bool:
@@ -271,7 +234,7 @@ def _nonassociative(get, elements: range, cell: tuple[int, int]) -> bool:
     )
 
 
-def _rows(table: dict, n_rows: int, n_cols: int) -> tuple[tuple[int, ...], ...]:
+def _rows(table: dict, n_rows: int, n_cols: int) -> Table:
     return tuple(tuple(table[r, c] for c in range(n_cols)) for r in range(n_rows))
 
 
@@ -321,9 +284,8 @@ def enumerate_semirings(order: int, *, dedup: bool = False) -> list[CatalogEntry
             return _nonassociative(get, range(2, n), cell) or _broken(distributive)
 
         for table in _search(mul, cells, range(n), fails):
-            data = dict(name="", size=n, zero=0, one=1, add=_rows(add, n, n), mul=_rows(table, n, n))
             try:
-                entries.append(validate_semiring(data))
+                entries.append(checked_semiring(_rows(add, n, n), _rows(table, n, n), 0, 1))
             except InvalidStructure:
                 continue
     if dedup:
@@ -380,9 +342,8 @@ def enumerate_semimodules(semiring: FiniteSemiring, order: int) -> list[CatalogE
             )
 
         for table in _search(action, cells, range(m), fails):
-            data = dict(name="", size=m, zero=0, add=_rows(add, m, m), action=_rows(table, n, m))
             try:
-                found.append(validate_semimodule(semiring, data))
+                found.append(checked_semimodule(semiring, _rows(add, m, m), _rows(table, n, m), 0))
             except InvalidStructure:
                 continue
     return _named(f"M{m}", found)

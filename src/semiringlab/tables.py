@@ -5,7 +5,13 @@ and ``one`` are stored as indices and are not forced to positions 0 and 1,
 so imported tables keep their original numbering.  Row index is always the
 left operand.
 
-Validation scans every axiom over all element tuples and reports each
+Validation has two layers.  The JSON boundary (``validate_*`` and
+``*_violations``) runs on data from files, the CLI and tests: it checks the
+shape and ``size``/``zero``/``one`` and parses each table once, reporting
+every entry that is a bool, not an integer or outside the carrier.  The law
+layer (``checked_semiring``, ``checked_semimodule``) runs on tuple tables,
+parsed or computed by the program, which skip the parse.  It guards the
+entry range, then scans every axiom over all element tuples and reports each
 violated axiom with a witness, not only the first failure.  The cubic
 associativity and distributivity scans build both sides of the law for one
 outer index as a bytes string and compare the whole row at once; every
@@ -74,13 +80,6 @@ class FiniteSemiring:
     def elements(self) -> range:
         return range(self.size)
 
-    def power(self, a: int, k: int) -> int:
-        """k-fold product of a (k = 0 gives one)."""
-        out = self.one
-        for _ in range(k):
-            out = self.mul_table[out][a]
-        return out
-
 
 @dataclass(frozen=True)
 class FiniteSemimodule:
@@ -104,12 +103,6 @@ class FiniteSemimodule:
 
     def elements(self) -> range:
         return range(self.size)
-
-    def repeat_add(self, x: int, k: int) -> int:
-        out = self.zero
-        for _ in range(k):
-            out = self.add_table[out][x]
-        return out
 
 
 Carrier = Union[FiniteSemiring, FiniteSemimodule]
@@ -147,28 +140,6 @@ def same_semiring(a: FiniteSemiring, b: FiniteSemiring) -> bool:
         b.add_table,
         b.mul_table,
     )
-
-
-def _parse_table(rows: object, n_rows: int, n_cols: int, what: str) -> tuple[Table, list[AxiomViolation]]:
-    """Copy ``rows`` into a table; one ``<what>_entry_range`` violation per entry not in 0..n_cols-1."""
-    if not isinstance(rows, (list, tuple)) or len(rows) != n_rows:
-        raise SizeMismatch(f"{what} table must have {n_rows} rows")
-    out, bad = [], []
-    for r, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)) or len(row) != n_cols:
-            raise SizeMismatch(f"{what} table row {r} must have {n_cols} entries")
-        row = tuple(row)
-        out.append(row)
-        for c, v in enumerate(row):
-            # _is_int inlined: this runs once per table entry
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_cols:
-                bad.append(AxiomViolation(f"{what}_entry_range", (r, c)))
-    return tuple(out), bad
-
-
-def _is_int(v: object) -> bool:
-    """An int that is not a bool: JSON ``true``/``false`` load as bools, a subclass of int."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _first_noncommutative(table: Table, n: int) -> tuple[int, int] | None:
@@ -287,20 +258,24 @@ def _monoid_violations(table: Table, n: int, e: int, op: str) -> list[AxiomViola
     return [AxiomViolation(f"{op}_{law}", w) for law, w in scans if w]
 
 
-def _scan_semiring(data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
-    """Parse the tables of ``data`` once and scan every semiring axiom on them."""
-    n = data.get("size")
-    if not _is_int(n) or n < 2:
-        raise SizeMismatch("size must be an integer >= 2 (the identities 0 and 1 must differ)")
-    zero, one = data.get("zero"), data.get("one")
-    for label, v in (("zero", zero), ("one", one)):
-        if not _is_int(v) or not 0 <= v < n:
-            raise SizeMismatch(f"{label} must be an index in 0..{n - 1}")
-    add, violations = _parse_table(data.get("add"), n, n, "add")
-    mul, bad_entries = _parse_table(data.get("mul"), n, n, "mul")
-    violations += bad_entries
+def _out_of_range(table: Table, n: int, what: str) -> list[AxiomViolation]:
+    """One ``<what>_entry_range`` violation per entry of a tuple table outside 0..n-1.
+
+    The scans index by entries, and the bytes kernels would read one past the
+    carrier through their padding.  A ``min`` and a ``max`` per row keep this cheap.
+    """
+    if all(0 <= min(row) and max(row) < n for row in table):
+        return []
+    cells = ((r, c) for r, row in enumerate(table) for c, v in enumerate(row) if not 0 <= v < n)
+    return [AxiomViolation(f"{what}_entry_range", cell) for cell in cells]
+
+
+def _scan_semiring(add: Table, mul: Table, zero: int, one: int) -> list[AxiomViolation]:
+    """Every semiring axiom on tuple tables over ``0..len(add)-1``."""
+    n = len(add)
+    violations = _out_of_range(add, n, "add") + _out_of_range(mul, n, "mul")
     if violations:
-        return add, mul, violations
+        return violations
 
     if zero == one:
         violations.append(AxiomViolation("zero_one_distinct", (zero,)))
@@ -317,52 +292,23 @@ def _scan_semiring(data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
     for law, w in (("left_distributivity", left), ("right_distributivity", right)):
         if w:
             violations.append(AxiomViolation(law, w))
-    return add, mul, violations
+    return violations
 
 
-def semiring_violations(data: Mapping) -> list[AxiomViolation]:
-    """Scan all semiring axioms on raw table data; return every violation found.
-
-    Shape problems (wrong table dimensions, out-of-range zero/one, size < 2)
-    raise SizeMismatch because the axiom scan cannot run on malformed tables.
-    """
-    return _scan_semiring(data)[2]
-
-
-def validate_semiring(data: Mapping) -> FiniteSemiring:
-    """Build a FiniteSemiring from raw table data, or raise InvalidStructure."""
-    name = str(data.get("name", ""))
-    add, mul, violations = _scan_semiring(data)
+def checked_semiring(add: Table, mul: Table, zero: int, one: int, name: str = "") -> FiniteSemiring:
+    """The semiring with these tuple tables, or raise InvalidStructure listing every broken axiom."""
+    violations = _scan_semiring(add, mul, zero, one)
     if violations:
         raise InvalidStructure("semiring", name, violations)
-    return FiniteSemiring(
-        size=data["size"], add_table=add, mul_table=mul, zero=data["zero"], one=data["one"], name=name
-    )
+    return FiniteSemiring(size=len(add), add_table=add, mul_table=mul, zero=zero, one=one, name=name)
 
 
-def _scan_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
-    """Parse the tables of ``data`` once and scan every semimodule axiom over ``base``."""
-    m = data.get("size")
-    if not _is_int(m) or m < 1:
-        raise SizeMismatch("size must be an integer >= 1")
-    zero = data.get("zero")
-    if not _is_int(zero) or not 0 <= zero < m:
-        raise SizeMismatch(f"zero must be an index in 0..{m - 1}")
-    if "base" in data and data["base"] is not None:
-        embedded = data["base"]
-        if isinstance(embedded, Mapping):
-            declared = validate_semiring(embedded)
-            if not same_semiring(declared, base):
-                raise BaseMismatch("embedded base semiring differs from the supplied one")
-        elif not isinstance(embedded, str):
-            # string bases are references (builtin name or path) the caller resolves
-            raise BaseMismatch("base must be an embedded semiring object or a reference string")
-    n = base.size
-    add, violations = _parse_table(data.get("add"), m, m, "add")
-    action, bad_entries = _parse_table(data.get("action"), n, m, "action")
-    violations += bad_entries
+def _scan_semimodule(base: FiniteSemiring, add: Table, action: Table, zero: int) -> list[AxiomViolation]:
+    """Every semimodule axiom over ``base`` on tuple tables over ``0..len(add)-1``."""
+    m, n = len(add), base.size
+    violations = _out_of_range(add, m, "add") + _out_of_range(action, m, "action")
     if violations:
-        return add, action, violations
+        return violations
 
     violations += _monoid_violations(add, m, zero, "add")
     for x in range(m):
@@ -384,23 +330,110 @@ def _scan_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[Table, Table,
         ("action_mul_scalar", first_nonassociative(base.mul_table, action)),
     )
     violations += [AxiomViolation(law, w) for law, w in scans if w]
-    return add, action, violations
+    return violations
+
+
+def checked_semimodule(
+    base: FiniteSemiring, add: Table, action: Table, zero: int, name: str = ""
+) -> FiniteSemimodule:
+    """The semimodule over ``base`` with these tuple tables, or raise InvalidStructure."""
+    violations = _scan_semimodule(base, add, action, zero)
+    if violations:
+        raise InvalidStructure("semimodule", name, violations)
+    return FiniteSemimodule(base=base, size=len(add), add_table=add, action_table=action, zero=zero, name=name)
+
+
+# The JSON boundary: data from files, the CLI and tests is parsed here, once.
+def _parse_table(rows: object, n_rows: int, n_cols: int, what: str) -> tuple[Table, list[AxiomViolation]]:
+    """Copy ``rows`` into a table; one ``<what>_entry_range`` violation per entry not in 0..n_cols-1."""
+    if not isinstance(rows, (list, tuple)) or len(rows) != n_rows:
+        raise SizeMismatch(f"{what} table must have {n_rows} rows")
+    out, bad = [], []
+    for r, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != n_cols:
+            raise SizeMismatch(f"{what} table row {r} must have {n_cols} entries")
+        row = tuple(row)
+        out.append(row)
+        for c, v in enumerate(row):
+            # _is_int inlined: this runs once per table entry
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_cols:
+                bad.append(AxiomViolation(f"{what}_entry_range", (r, c)))
+    return tuple(out), bad
+
+
+def _is_int(v: object) -> bool:
+    """An int that is not a bool: JSON ``true``/``false`` load as bools, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _parse_semiring(data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
+    """Check the shape of semiring ``data`` and parse its tables, with their entry violations."""
+    n = data.get("size")
+    if not _is_int(n) or n < 2:
+        raise SizeMismatch("size must be an integer >= 2 (the identities 0 and 1 must differ)")
+    zero, one = data.get("zero"), data.get("one")
+    for label, v in (("zero", zero), ("one", one)):
+        if not _is_int(v) or not 0 <= v < n:
+            raise SizeMismatch(f"{label} must be an index in 0..{n - 1}")
+    add, bad_add = _parse_table(data.get("add"), n, n, "add")
+    mul, bad_mul = _parse_table(data.get("mul"), n, n, "mul")
+    return add, mul, bad_add + bad_mul
+
+
+def semiring_violations(data: Mapping) -> list[AxiomViolation]:
+    """Scan all semiring axioms on raw table data; return every violation found.
+
+    Shape problems (wrong table dimensions, out-of-range zero/one, size < 2)
+    raise SizeMismatch because the axiom scan cannot run on malformed tables.
+    """
+    add, mul, bad = _parse_semiring(data)
+    return bad or _scan_semiring(add, mul, data["zero"], data["one"])
+
+
+def validate_semiring(data: Mapping) -> FiniteSemiring:
+    """Build a FiniteSemiring from raw table data, or raise InvalidStructure."""
+    name = str(data.get("name", ""))
+    add, mul, bad = _parse_semiring(data)
+    if bad:
+        raise InvalidStructure("semiring", name, bad)
+    return checked_semiring(add, mul, data["zero"], data["one"], name)
+
+
+def _parse_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
+    """Check the shape and base of semimodule ``data`` and parse its tables, with their entry violations."""
+    m = data.get("size")
+    if not _is_int(m) or m < 1:
+        raise SizeMismatch("size must be an integer >= 1")
+    zero = data.get("zero")
+    if not _is_int(zero) or not 0 <= zero < m:
+        raise SizeMismatch(f"zero must be an index in 0..{m - 1}")
+    if "base" in data and data["base"] is not None:
+        embedded = data["base"]
+        if isinstance(embedded, Mapping):
+            declared = validate_semiring(embedded)
+            if not same_semiring(declared, base):
+                raise BaseMismatch("embedded base semiring differs from the supplied one")
+        elif not isinstance(embedded, str):
+            # string bases are references (builtin name or path) the caller resolves
+            raise BaseMismatch("base must be an embedded semiring object or a reference string")
+    add, bad_add = _parse_table(data.get("add"), m, m, "add")
+    action, bad_action = _parse_table(data.get("action"), base.size, m, "action")
+    return add, action, bad_add + bad_action
 
 
 def semimodule_violations(base: FiniteSemiring, data: Mapping) -> list[AxiomViolation]:
     """Scan all semimodule axioms of ``data`` over ``base``; return every violation."""
-    return _scan_semimodule(base, data)[2]
+    add, action, bad = _parse_semimodule(base, data)
+    return bad or _scan_semimodule(base, add, action, data["zero"])
 
 
 def validate_semimodule(base: FiniteSemiring, data: Mapping) -> FiniteSemimodule:
     """Build a FiniteSemimodule over ``base``, or raise InvalidStructure."""
     name = str(data.get("name", ""))
-    add, action, violations = _scan_semimodule(base, data)
-    if violations:
-        raise InvalidStructure("semimodule", name, violations)
-    return FiniteSemimodule(
-        base=base, size=data["size"], add_table=add, action_table=action, zero=data["zero"], name=name
-    )
+    add, action, bad = _parse_semimodule(base, data)
+    if bad:
+        raise InvalidStructure("semimodule", name, bad)
+    return checked_semimodule(base, add, action, data["zero"], name)
 
 
 def v_set(structure: Carrier) -> frozenset[int]:

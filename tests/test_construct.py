@@ -138,17 +138,25 @@ def test_every_pair_decomposes_uniquely():
         graded_decomposition(build_expectation(semiring, module))
 
 
+def _fold(table, start: int, x: int, k: int) -> int:
+    """``start`` combined k times with ``x`` through ``table``."""
+    for _ in range(k):
+        start = table[start][x]
+    return start
+
+
 def test_power_formula():
     # (s,m)^k = (s^k, k * s^(k-1) * m), the k-fold sum taken in the module
     inst = zmod4_pair()
     s_ring, module, e_ring = inst.factor_semiring, inst.factor_module, inst.product
+    power = lambda s, k: _fold(s_ring.mul_table, s_ring.one, s, k)
     for s in s_ring.elements():
         for x in module.elements():
             k_power = inst.index_of(s, x)
             for k in range(1, 6):
                 expected = inst.index_of(
-                    s_ring.power(s, k),
-                    module.repeat_add(module.act(s_ring.power(s, k - 1), x), k),
+                    power(s, k),
+                    _fold(module.add_table, module.zero, module.act(power(s, k - 1), x), k),
                 )
                 assert k_power == expected
                 k_power = e_ring.mul(k_power, inst.index_of(s, x))

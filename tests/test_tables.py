@@ -9,7 +9,12 @@ from semiringlab import (
     BaseMismatch,
     InvalidStructure,
     SizeMismatch,
+    build_expectation,
     builtin,
+    builtin_pairs,
+    default_grid,
+    enumerate_semimodules,
+    enumerate_semirings,
     is_commutative_mul,
     semiring_to_dict,
     semimodule_violations,
@@ -17,7 +22,9 @@ from semiringlab import (
     v_set,
     validate_semimodule,
     validate_semiring,
+    zmod_quotient_module,
 )
+from semiringlab import tables
 from semiringlab.cli import main
 from semiringlab.tables import first_nonassociative, first_nondistributive
 
@@ -158,6 +165,24 @@ def test_entry_out_of_range_reported():
         semimodule_violations(
             base, dict(module, add=[[0, True], [1, 0]], action=module["action"][:2] + [[0], [0, 1]])
         )
+
+
+def test_computed_tables_skip_the_json_parse(monkeypatch):
+    # the program's own tables go straight to the law scans; only outside data is parsed
+    def parse(*args):
+        raise RuntimeError("reached the JSON parse")
+
+    monkeypatch.setattr(tables, "_parse_table", parse)
+    assert builtin_pairs(max_product=32)
+    assert enumerate_semirings(3)
+    enumerate_semimodules(builtin("zmod_3").structure, 2)
+    zmod_quotient_module(6, 3)
+    for cell in default_grid():
+        build_expectation(cell.semiring, cell.module)
+    with pytest.raises(RuntimeError, match="JSON parse"):
+        validate_semiring(BOOLEAN)
+    with pytest.raises(RuntimeError, match="JSON parse"):
+        validate_semimodule(builtin("zmod_4").structure, mod2_action_data())
 
 
 def mod2_action_data():

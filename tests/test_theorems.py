@@ -1,12 +1,14 @@
 import multiprocessing
 import os
 from collections import Counter
+from dataclasses import replace
 from functools import cached_property, partial
 
 import pytest
 
 from semiringlab import (
     Census,
+    build_expectation,
     builtin,
     catalog,
     ideals,
@@ -17,7 +19,7 @@ from semiringlab import (
     weakly_prime_forward_probe,
 )
 from semiringlab.ideals import Ideal, NotAnIdeal, NotASubmodule, Subsemimodule
-from semiringlab.tables import FiniteSemimodule, same_semiring
+from semiringlab.tables import FiniteSemimodule, InvalidStructure, same_semiring
 from semiringlab.theorems import (
     CHECKS,
     FAIL,
@@ -269,6 +271,20 @@ def test_product_check_lists_violated_axioms_of_a_broken_module():
     )
     ctx = PairContext(label="E(boolean, dead)", semiring=b, module=dead)
     assert check_product_is_semiring(ctx) == (FAIL, ["mul_identity(1)"])
+    # an unvalidated zmod_3 whose mul[2][2] leaves the carrier: past its end, below
+    # zero, past one byte; the product entry is out of range, never read through
+    z3 = builtin("zmod_3").structure
+    for v in (3, -1, 300):
+        mul = tuple(
+            tuple(v if (r, c) == (2, 2) else x for c, x in enumerate(row)) for r, row in enumerate(z3.mul_table)
+        )
+        bad = replace(z3, mul_table=mul)
+        zero = FiniteSemimodule(base=bad, size=1, add_table=((0,),), action_table=((0,),) * 3, zero=0)
+        ctx = PairContext(label="E(bad, zero)", semiring=bad, module=zero)
+        assert check_product_is_semiring(ctx) == (FAIL, ["mul_entry_range(2, 2)"])
+        with pytest.raises(InvalidStructure) as err:
+            build_expectation(bad, zero)
+        assert [str(x) for x in err.value.violations] == ["mul_entry_range(2, 2)"]
 
 
 # The even ideal boxed with the whole module: the one prime and maximal ideal of E(zmod_4, zmod_4).
