@@ -307,6 +307,8 @@ def _scan_semimodule(base: FiniteSemiring, add: Table, action: Table, zero: int)
     """Every semimodule axiom over ``base`` on tuple tables over ``0..len(add)-1``."""
     m, n = len(add), base.size
     violations = _out_of_range(add, m, "add") + _out_of_range(action, m, "action")
+    # the action scans index by the base's entries too, and the base may never have been checked
+    violations += _out_of_range(base.add_table, n, "base_add") + _out_of_range(base.mul_table, n, "base_mul")
     if violations:
         return violations
 

@@ -112,12 +112,8 @@ def test_head_commit_is_read_only_at_the_top_of_a_work_tree(tmp_path):
     assert bench_pairs.head_commit(tree) == sha + "-dirty"
 
 
-@pytest.mark.parametrize(
-    "gains, claim",
-    [([0.5] * 10, True), ([0.3] * 10, False), ([0.5] * 9 + [-0.5], True), ([0.5] * 8 + [-0.5] * 2, False)],
-    ids=["clear", "inside-the-iqr", "nine-wins", "eight-wins"],
-)
-def test_a_claim_needs_nine_wins_in_ten_and_a_gap_past_the_base_iqr(capsys, monkeypatch, tmp_path, gains, claim):
+def compare_gains(capsys, monkeypatch, tmp_path, gains):
+    """Ten pairs where change pass i takes gains[i] s less than base pass i; the pass_s record and printed row."""
     bench_pairs = load_script()
     calls = []
 
@@ -133,8 +129,28 @@ def test_a_claim_needs_nine_wins_in_ten_and_a_gap_past_the_base_iqr(capsys, monk
     monkeypatch.chdir(tmp_path)
     assert bench_pairs.main(checkouts(tmp_path) + ["--workload", "grid-order4", "--pairs", "10"]) == 0
     [record] = json.loads((tmp_path / "BENCH_grid-order4.json").read_text(encoding="utf-8"))
-    pass_s = record["metrics"]["pass_s"]
-    assert pass_s["base_iqr"] == pytest.approx(0.45)
-    assert (pass_s["wins"], pass_s["claim"]) == (sum(g > 0 for g in gains), claim)
     row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("pass_s"))
-    assert row.split()[-1] == ("yes" if claim else "no")
+    return record["metrics"]["pass_s"], row.split()
+
+
+@pytest.mark.parametrize(
+    "gains, claim",
+    [([0.5] * 10, True), ([0.3] * 10, False), ([0.5] * 9 + [-0.5], True), ([0.5] * 8 + [-0.5] * 2, False)],
+    ids=["clear", "inside-the-iqr", "nine-wins", "eight-wins"],
+)
+def test_a_claim_needs_nine_wins_in_ten_and_a_gap_past_the_base_iqr(capsys, monkeypatch, tmp_path, gains, claim):
+    pass_s, row = compare_gains(capsys, monkeypatch, tmp_path, gains)
+    assert pass_s["base_iqr"] == pytest.approx(0.45)
+    assert (pass_s["wins"], pass_s["claim"], pass_s["worse"]) == (sum(g > 0 for g in gains), claim, False)
+    assert row[-2:] == ["yes" if claim else "no", "no"]
+
+
+@pytest.mark.parametrize(
+    "gains, worse",
+    [([-0.5] * 10, True), ([-0.3] * 10, False), ([0.5] + [-0.5] * 9, True), ([0.5] * 2 + [-0.5] * 8, False)],
+    ids=["clear", "inside-the-iqr", "nine-losses", "eight-losses"],
+)
+def test_worse_needs_nine_losses_in_ten_and_a_gap_past_the_base_iqr(capsys, monkeypatch, tmp_path, gains, worse):
+    pass_s, row = compare_gains(capsys, monkeypatch, tmp_path, gains)
+    assert (pass_s["wins"], pass_s["claim"], pass_s["worse"]) == (sum(g > 0 for g in gains), False, worse)
+    assert row[-2:] == ["no", "yes" if worse else "no"]

@@ -4,9 +4,13 @@ Every semiring, module and product of the default order-3 grid is scanned,
 with each of its ideals and subsemimodules; the element predicates that take
 a semiring or a module are checked on both.  The oracles below read the
 definitions word for word: all powers of an element are listed until one
-repeats, and nothing is shared with the library's scans.  On every
-carrier of at most ``WITNESS_CARRIER`` elements the first witness of the
-ideal and subsemimodule closure tests is compared on every subset.  The
+repeats, and nothing is shared with the library's scans.  The verdict and
+first witness of the ideal and subsemimodule closure tests, and the message
+of the refusing constructor, are compared on every subset of a carrier of at
+most ``WITNESS_CARRIER`` elements.  On the larger grid products (10-16
+elements) and the catalog products of 17-32 elements they are compared on
+the empty set, every one-member set, every enumerated closed set and each
+closed set with one member added or removed.  The
 product coordinates (boxes, projections and the graded test) are compared
 with their definitions through the pair bijection on every cell, and the
 legal boxes ``PairContext.boxables`` lists with a literal ``a*x`` loop.  The
@@ -29,6 +33,7 @@ from semiringlab import (
     Ideal,
     NotAnIdeal,
     build_expectation,
+    catalog,
     default_grid,
     enumerate_ideals,
     enumerate_semimodules,
@@ -49,11 +54,12 @@ from semiringlab import (
     semiring_violations,
 )
 from semiringlab.construct import _is_graded, box_members, projections
-from semiringlab.ideals import ideal_violation, submodule_violation
-from semiringlab.tables import first_nonassociative, first_nondistributive
+from semiringlab.ideals import NotASubmodule, Subsemimodule, ideal_violation, submodule_violation
+from semiringlab.tables import FiniteSemiring, first_nonassociative, first_nondistributive
 from semiringlab.theorems import PairContext
 
 WITNESS_CARRIER = 9
+NEAR_SAMPLE = 2000
 
 
 def powers(semiring, b):
@@ -120,18 +126,45 @@ def violation_oracle(structure, members):
     return None
 
 
-def check_witnesses(structure):
-    """Closure verdicts and first witnesses on every subset of a small carrier."""
+def witness_sets(structure, closed):
+    """Every subset of a small carrier; past ``WITNESS_CARRIER`` elements, the sets near the closed ones.
+
+    Near means the empty set, every one-member set, every closed set and each
+    closed set with one member added or removed (a seeded sample of
+    ``NEAR_SAMPLE`` of those when there are more).
+    """
     size = structure.size
-    if size > WITNESS_CARRIER:
-        return
-    violation = submodule_violation if hasattr(structure, "base") else ideal_violation
-    for mask in range(1 << size):
-        members = frozenset(i for i in range(size) if mask >> i & 1)
-        assert violation(structure, members) == violation_oracle(structure, members), (
-            structure.name,
-            sorted(members),
-        )
+    if size <= WITNESS_CARRIER:
+        return [frozenset(i for i in range(size) if mask >> i & 1) for mask in range(1 << size)]
+    near = sorted({members ^ {i} for members in closed for i in range(size)}, key=sorted)
+    if len(near) > NEAR_SAMPLE:
+        near = random.Random(size).sample(near, NEAR_SAMPLE)
+    return [frozenset(), *(frozenset({i}) for i in range(size)), *closed, *near]
+
+
+def check_witnesses(structure, closed):
+    """Closure verdicts, first witnesses and constructor messages against ``violation_oracle``.
+
+    ``closed`` holds the member sets the enumerator listed for ``structure``.
+    """
+    if hasattr(structure, "base"):
+        violation, build, error, noun = submodule_violation, Subsemimodule, NotASubmodule, "a subsemimodule"
+    else:
+        violation, build, error, noun = ideal_violation, Ideal, NotAnIdeal, "an ideal"
+    checked = 0
+    for members in witness_sets(structure, closed):
+        expected = violation_oracle(structure, members)
+        where = (structure.name, sorted(members))
+        assert violation(structure, members) == expected, where
+        if expected is None:
+            build(structure, members)
+            continue
+        with pytest.raises(error) as err:
+            build(structure, members)
+        assert str(err.value) == f"not {noun}: fails {expected[0]} closure at {expected[1]}", where
+        assert err.value.witness == expected[1], where
+        checked += 1
+    return checked
 
 
 def nilpotents_of(semiring):
@@ -249,8 +282,8 @@ def check_semiring(semiring):
         "weakly_clean_literal": census.weakly_clean_literal,
     }
     assert got == expected, name
-    check_witnesses(semiring)
     ideals = enumerate_ideals(semiring)
+    check_witnesses(semiring, [ideal.members for ideal in ideals])
     for ideal in ideals:
         members = ideal.members
         where = (name, sorted(members))
@@ -274,8 +307,8 @@ def check_module(module):
     z = module_zero_divisors_of(module)
     assert census.zero_divisors == z, names
     assert census.domainlike == (z <= nilpotents_of(module.base)), names
-    check_witnesses(module)
     submodules = enumerate_subsemimodules(module)
+    check_witnesses(module, [n.members for n in submodules])
     for n in submodules:
         where = (module.base.name, module.name, sorted(n.members))
         assert residual(n).members == residual_oracle(module, n.members), where
@@ -330,6 +363,38 @@ def test_predicates_match_literal_definitions_on_default_grid():
                     Ideal(instance.product, box_members(instance, i.members, n.members))
         assert legal == len(listed), cell.label
     assert len(cells) == 68
+
+
+@pytest.mark.parametrize(
+    "add, mul, members",
+    [
+        (((0, 1), (1, 0)), ((0, 1), (1, 1)), {1}),  # {1} absorbs, but 1 + 1 = 0
+        (((0, 1, 2), (1, 2, 2), (2, 2, 2)), ((0, 0, 0), (0, 1, 0), (0, 0, 2)), {0, 1}),  # 1 + 1 = 2
+    ],
+    ids=["one-member", "largest-member"],
+)
+def test_closure_witnesses_check_a_plus_a_on_tables_without_distributivity(add, mul, members):
+    # on a semiring a + a = (1 + 1)a is an absorbed product; on these tables only the sum check catches it
+    structure = FiniteSemiring(size=len(add), add_table=add, mul_table=mul, zero=0, one=1, name="undistributive")
+    assert check_witnesses(structure, []) > 0
+    assert ideal_violation(structure, frozenset(members)) == ("add", (1, 1))
+
+
+def test_closure_witnesses_on_catalog_lattice_products():
+    # the products of 17-32 elements that max_product=32 adds to the catalog
+    labels = []
+    for name, semiring, module in catalog.builtin_pairs(max_product=32):
+        if 16 < semiring.size * module.size:
+            product = build_expectation(semiring, module).product
+            assert check_witnesses(product, [i.members for i in enumerate_ideals(product)]) > 0, name
+            labels.append(f"E({name}, {module.name})")
+    assert labels == [
+        "E(chain_2, chain_2xchain_2)",
+        "E(trunc_nat_2, trunc_nat_2xtrunc_nat_2)",
+        "E(zmod_3, zmod_3xzmod_3)",
+        "E(zmod_5, zmod_5)",
+        "E(zmod_6, zmod_3)",
+    ]
 
 
 def test_product_coordinates_match_pair_definitions_on_default_grid():

@@ -285,6 +285,10 @@ def test_product_check_lists_violated_axioms_of_a_broken_module():
         with pytest.raises(InvalidStructure) as err:
             build_expectation(bad, zero)
         assert [str(x) for x in err.value.violations] == ["mul_entry_range(2, 2)"]
+        # a module over it is refused by the same guard on the base's tables
+        with pytest.raises(InvalidStructure) as err:
+            catalog.trivial_module(bad)
+        assert [str(x) for x in err.value.violations] == ["base_mul_entry_range(2, 2)"]
 
 
 # The even ideal boxed with the whole module: the one prime and maximal ideal of E(zmod_4, zmod_4).

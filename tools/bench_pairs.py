@@ -14,19 +14,20 @@ per metric, each side's median and quartiles, the number of pairs the change
 won (ties count for neither side), the base's interquartile range and whether
 a gain on that metric can be claimed: the change won at least 9 of every 10
 pairs and its median beats the base's by more than the base's interquartile
-range.  It then
-appends the same figures as one record to ``BENCH_<workload>.json`` in the
-working directory, a JSON list with one record per completed comparison: both
-checkout paths as given and each one's ``HEAD`` commit (null unless the
-checkout is the top of a git work tree, with ``-dirty`` appended when
-``src``, ``perfbench``, ``tools`` or ``BENCHMARK.json`` hold uncommitted
-changes), the workload, seed and run seconds,
-every pair's first side, metrics and digests, the per-metric summary and the
-exit code.  The runs write only what the benchmark writes (its
-``.perfbench_out/`` directory and Python's bytecode caches).  Exit code 0 when
-every run was correct and both sides printed one verdict digest, 1 when a run
-failed or the digests differ; a run that crashes ends the script before any
-record is written.
+range.  It marks the metric ``worse`` in the mirror case: the base won at
+least 9 of every 10 pairs and its median beats the change's by more than the
+base's interquartile range.  It then appends the same figures as one record to
+``BENCH_<workload>.json`` in the working directory, a JSON list with one
+record per completed comparison: both checkout paths as given and each one's
+``HEAD`` commit (null unless the checkout is the top of a git work tree, with
+``-dirty`` appended when ``src``, ``perfbench``, ``tools`` or
+``BENCHMARK.json`` hold uncommitted changes), the workload, seed and run
+seconds, every pair's first side, metrics and digests, the per-metric summary
+(with ``claim`` and ``worse``) and the exit code.  The runs write only what
+the benchmark writes (its ``.perfbench_out/`` directory and Python's bytecode
+caches).  Exit code 0 when every run was correct and both sides printed one
+verdict digest, 1 when a run failed or the digests differ; a run that crashes
+ends the script before any record is written.
 """
 
 from __future__ import annotations
@@ -131,22 +132,25 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, {args.pairs} pairs, seed {args.seed}, {seconds:g} s runs")
     print(f"{'metric':12s} {'base q1 / median / q3':>29s} {'change q1 / median / q3':>29s}"
-          f" {'shift':>8s} {'wins':>6s} {'base IQR':>9s} {'claim':>5s}")
+          f" {'shift':>8s} {'wins':>6s} {'base IQR':>9s} {'claim':>5s} {'worse':>5s}")
     summary = {}
     for name, lower in lower_is_better.items():
         base = [r["metrics"][name] for r in runs["base"]]
         change = [r["metrics"][name] for r in runs["change"]]
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        losses = sum((c > b) if lower else (c < b) for b, c in zip(base, change))
         bq, cq = quartiles(base), quartiles(change)
         shift = (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
         iqr = bq[2] - bq[0]
         gain = bq[1] - cq[1] if lower else cq[1] - bq[1]
         claim = wins * 10 >= 9 * args.pairs and gain > iqr
+        worse = losses * 10 >= 9 * args.pairs and -gain > iqr
         print(f"{name:12s} {bq[0]:9.4f} {bq[1]:9.4f} {bq[2]:9.4f} {cq[0]:9.4f} {cq[1]:9.4f} {cq[2]:9.4f}"
-              f" {shift:+8.1%} {wins:3d}/{args.pairs:<2d} {iqr:9.4f} {'yes' if claim else 'no':>5s}")
+              f" {shift:+8.1%} {wins:3d}/{args.pairs:<2d} {iqr:9.4f} {'yes' if claim else 'no':>5s}"
+              f" {'yes' if worse else 'no':>5s}")
         summary[name] = {"base": dict(zip(("q1", "median", "q3"), bq)),
                          "change": dict(zip(("q1", "median", "q3"), cq)),
-                         "wins": wins, "base_iqr": iqr, "claim": claim}
+                         "wins": wins, "base_iqr": iqr, "claim": claim, "worse": worse}
 
     digests = {side: {r["digest"] for r in runs[side]} for side in sides}
     print(f"verdict digests: base {sorted(map(str, digests['base']))}, change {sorted(map(str, digests['change']))}")
