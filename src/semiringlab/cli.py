@@ -28,8 +28,6 @@ from .ideals import (
 from .numeric import ZeroMass, brute_force_total, expectation_from_total, forward_total, graph_from_dict
 from .tables import (
     BaseMismatch,
-    InvalidStructure,
-    SizeMismatch,
     semimodule_to_dict,
     semiring_to_dict,
     semimodule_violations,
@@ -53,9 +51,18 @@ class OutputNotEmpty(ValueError):
     """An output directory that already holds files, which a run would mix with its own."""
 
 
+class UnloadableJson(ValueError):
+    """JSON the parser cannot load: nested past the recursion limit, or an integer past the digit limit."""
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError):  # typed already, with their own messages
+            raise
+        except (RecursionError, ValueError) as exc:
+            raise UnloadableJson(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise NotAnObject(f"{path}: top level must be a JSON object, not {type(data).__name__}")
     return data
@@ -102,16 +109,7 @@ def cmd_validate(args) -> int:
                 violations = semimodule_violations(base, data)
             else:
                 violations = semiring_violations(data)
-        except (
-            SizeMismatch,
-            BaseMismatch,
-            InvalidStructure,
-            catalog.UnknownName,
-            NotAnObject,
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-            OSError,
-        ) as exc:  # an unreadable file, a malformed table, or a base that names no builtin or cannot be read
+        except (ValueError, OSError) as exc:  # an unreadable file, a malformed table, or a bad base, as in main
             print(f"{path}: ERROR {exc}")
             results.append({"path": path, "kind": kind, "valid": False, "error": str(exc)})
             status = 1

@@ -7,12 +7,13 @@ left operand.
 
 Validation has two layers.  The JSON boundary (``validate_*`` and
 ``*_violations``) runs on data from files, the CLI and tests: it checks the
-shape and ``size``/``zero``/``one`` and parses each table once, reporting
-every entry that is a bool, not an integer or outside the carrier.  The law
-layer (``checked_semiring``, ``checked_semimodule``) runs on tuple tables,
-parsed or computed by the program, which skip the parse.  It guards the
-entry range, then scans every axiom over all element tuples and reports each
-violated axiom with a witness, not only the first failure.  The cubic
+shape and ``size``/``zero``/``one`` and copies each table once, turning an
+entry that is a bool or not an integer into -1.  The law layer
+(``checked_semiring``, ``checked_semimodule``) runs on tuple tables, parsed
+or computed by the program, which skip the parse.  Its entry-range guard is
+the one range check: it reports every entry outside the carrier.  Then it
+scans every axiom over all element tuples and reports each violated axiom
+with a witness, not only the first failure.  The cubic
 associativity and distributivity scans build both sides of the law for one
 outer index as a bytes string and compare the whole row at once; every
 triple is still checked, and the first differing byte gives the row-major
@@ -259,10 +260,12 @@ def _monoid_violations(table: Table, n: int, e: int, op: str) -> list[AxiomViola
 
 
 def _out_of_range(table: Table, n: int, what: str) -> list[AxiomViolation]:
-    """One ``<what>_entry_range`` violation per entry of a tuple table outside 0..n-1.
+    """One ``<what>_entry_range`` violation per entry of a tuple table outside 0..n-1, row-major.
 
-    The scans index by entries, and the bytes kernels would read one past the
-    carrier through their padding.  A ``min`` and a ``max`` per row keep this cheap.
+    The one entry-range check, for parsed tables (a bool or non-integer entry
+    parses as -1) and computed ones.  The scans index by entries, and the bytes
+    kernels would read one past the carrier through their padding.  A ``min``
+    and a ``max`` per row keep this cheap.
     """
     if all(0 <= min(row) and max(row) < n for row in table):
         return []
@@ -346,21 +349,22 @@ def checked_semimodule(
 
 
 # The JSON boundary: data from files, the CLI and tests is parsed here, once.
-def _parse_table(rows: object, n_rows: int, n_cols: int, what: str) -> tuple[Table, list[AxiomViolation]]:
-    """Copy ``rows`` into a table; one ``<what>_entry_range`` violation per entry not in 0..n_cols-1."""
+def _parse_table(rows: object, n_rows: int, n_cols: int, what: str) -> Table:
+    """Copy ``rows`` into a tuple table after checking its shape.
+
+    An entry that is not an int (``_is_int``, so not a bool) becomes -1, which
+    the law layer's ``_out_of_range`` reports in row-major order.
+    """
     if not isinstance(rows, (list, tuple)) or len(rows) != n_rows:
         raise SizeMismatch(f"{what} table must have {n_rows} rows")
-    out, bad = [], []
+    out = []
     for r, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or len(row) != n_cols:
             raise SizeMismatch(f"{what} table row {r} must have {n_cols} entries")
-        row = tuple(row)
-        out.append(row)
-        for c, v in enumerate(row):
-            # _is_int inlined: this runs once per table entry
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_cols:
-                bad.append(AxiomViolation(f"{what}_entry_range", (r, c)))
-    return tuple(out), bad
+        if not {int}.issuperset(map(type, row)):  # one C-level screen per row
+            row = [v if _is_int(v) else -1 for v in row]
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _is_int(v: object) -> bool:
@@ -368,8 +372,8 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_semiring(data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
-    """Check the shape of semiring ``data`` and parse its tables, with their entry violations."""
+def _parse_semiring(data: Mapping) -> tuple[Table, Table, int, int]:
+    """Check the shape of semiring ``data``; its tables, zero and one for the law layer."""
     n = data.get("size")
     if not _is_int(n) or n < 2:
         raise SizeMismatch("size must be an integer >= 2 (the identities 0 and 1 must differ)")
@@ -377,9 +381,8 @@ def _parse_semiring(data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
     for label, v in (("zero", zero), ("one", one)):
         if not _is_int(v) or not 0 <= v < n:
             raise SizeMismatch(f"{label} must be an index in 0..{n - 1}")
-    add, bad_add = _parse_table(data.get("add"), n, n, "add")
-    mul, bad_mul = _parse_table(data.get("mul"), n, n, "mul")
-    return add, mul, bad_add + bad_mul
+    add, mul = (_parse_table(data.get(op), n, n, op) for op in ("add", "mul"))
+    return add, mul, zero, one
 
 
 def semiring_violations(data: Mapping) -> list[AxiomViolation]:
@@ -388,21 +391,16 @@ def semiring_violations(data: Mapping) -> list[AxiomViolation]:
     Shape problems (wrong table dimensions, out-of-range zero/one, size < 2)
     raise SizeMismatch because the axiom scan cannot run on malformed tables.
     """
-    add, mul, bad = _parse_semiring(data)
-    return bad or _scan_semiring(add, mul, data["zero"], data["one"])
+    return _scan_semiring(*_parse_semiring(data))
 
 
 def validate_semiring(data: Mapping) -> FiniteSemiring:
     """Build a FiniteSemiring from raw table data, or raise InvalidStructure."""
-    name = str(data.get("name", ""))
-    add, mul, bad = _parse_semiring(data)
-    if bad:
-        raise InvalidStructure("semiring", name, bad)
-    return checked_semiring(add, mul, data["zero"], data["one"], name)
+    return checked_semiring(*_parse_semiring(data), name=str(data.get("name", "")))
 
 
-def _parse_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[Table, Table, list[AxiomViolation]]:
-    """Check the shape and base of semimodule ``data`` and parse its tables, with their entry violations."""
+def _parse_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[FiniteSemiring, Table, Table, int]:
+    """Check the shape and base of semimodule ``data``; its base, tables and zero for the law layer."""
     m = data.get("size")
     if not _is_int(m) or m < 1:
         raise SizeMismatch("size must be an integer >= 1")
@@ -418,24 +416,18 @@ def _parse_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[Table, Table
         elif not isinstance(embedded, str):
             # string bases are references (builtin name or path) the caller resolves
             raise BaseMismatch("base must be an embedded semiring object or a reference string")
-    add, bad_add = _parse_table(data.get("add"), m, m, "add")
-    action, bad_action = _parse_table(data.get("action"), base.size, m, "action")
-    return add, action, bad_add + bad_action
+    add = _parse_table(data.get("add"), m, m, "add")
+    return base, add, _parse_table(data.get("action"), base.size, m, "action"), zero
 
 
 def semimodule_violations(base: FiniteSemiring, data: Mapping) -> list[AxiomViolation]:
     """Scan all semimodule axioms of ``data`` over ``base``; return every violation."""
-    add, action, bad = _parse_semimodule(base, data)
-    return bad or _scan_semimodule(base, add, action, data["zero"])
+    return _scan_semimodule(*_parse_semimodule(base, data))
 
 
 def validate_semimodule(base: FiniteSemiring, data: Mapping) -> FiniteSemimodule:
     """Build a FiniteSemimodule over ``base``, or raise InvalidStructure."""
-    name = str(data.get("name", ""))
-    add, action, bad = _parse_semimodule(base, data)
-    if bad:
-        raise InvalidStructure("semimodule", name, bad)
-    return checked_semimodule(base, add, action, data["zero"], name)
+    return checked_semimodule(*_parse_semimodule(base, data), name=str(data.get("name", "")))
 
 
 def v_set(structure: Carrier) -> frozenset[int]:

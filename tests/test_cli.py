@@ -106,8 +106,10 @@ def test_validate_reports_a_bad_module_base_and_goes_on(capsys, tmp_path, z4_fil
 @pytest.mark.parametrize(
     "content, message",
     [("[1]", "top level must be a JSON object, not list"), ("{bad", "Expecting property name"),
-     (None, "No such file"), (b"\xff\xfe", "can't decode byte")],
-    ids=["list", "broken-json", "missing", "not-utf8"],
+     (None, "No such file"), (b"\xff\xfe", "can't decode byte"),
+     ("[" * 200000 + "]" * 200000, "maximum recursion depth"),
+     ('{"size": ' + "9" * 5000 + "}", "Exceeds the limit")],
+    ids=["list", "broken-json", "missing", "not-utf8", "nested-too-deep", "integer-too-long"],
 )
 def test_validate_reports_a_bad_file_and_goes_on(capsys, tmp_path, z4_file, content, message):
     bad = tmp_path / "bad.json"
@@ -124,6 +126,9 @@ def test_validate_reports_a_bad_file_and_goes_on(capsys, tmp_path, z4_file, cont
     results = json.loads(report.read_text())["results"]
     assert [r["valid"] for r in results] == [True, False, True]
     assert results[1] == {"path": str(bad), "kind": None, "valid": False, "error": lines[1].split(": ERROR ", 1)[1]}
+    # the other subcommands stop with a one-line error, not a traceback
+    assert main(["ideals", "--instance", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {results[1]['error']}\n"
 
 
 def test_a_null_module_base_falls_back_to_the_semiring(capsys, tmp_path, z4_file):

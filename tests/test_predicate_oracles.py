@@ -52,10 +52,11 @@ from semiringlab import (
     semiring_as_module,
     semiring_to_dict,
     semiring_violations,
+    validate_semiring,
 )
 from semiringlab.construct import _is_graded, box_members, projections
 from semiringlab.ideals import NotASubmodule, Subsemimodule, ideal_violation, submodule_violation
-from semiringlab.tables import FiniteSemiring, first_nonassociative, first_nondistributive
+from semiringlab.tables import FiniteSemiring, InvalidStructure, first_nonassociative, first_nondistributive
 from semiringlab.theorems import PairContext
 
 WITNESS_CARRIER = 9
@@ -475,8 +476,21 @@ def test_action_law_scans_match_literal_loops():
 
 
 def literal_semiring_violations(data):
-    """Every semiring axiom of in-range tables, each with its row-major first witness from a literal loop."""
+    """Every semiring axiom, each with its row-major first witness from a literal loop.
+
+    Tables holding a bool, a non-integer or an index outside 0..n-1 give one
+    ``<op>_entry_range`` per such entry instead: row-major, ``add`` first, no laws.
+    """
     n, zero, one, add, mul = data["size"], data["zero"], data["one"], data["add"], data["mul"]
+    bad = [
+        (f"{op}_entry_range", (r, c))
+        for op in ("add", "mul")
+        for r, row in enumerate(data[op])
+        for c, v in enumerate(row)
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n
+    ]
+    if bad:
+        return bad
 
     def first(arity, holds):
         return next((t for t in itertools.product(range(n), repeat=arity) if not holds(*t)), None)
@@ -497,28 +511,46 @@ def literal_semiring_violations(data):
 
 
 def test_product_law_scans_match_literal_loops():
-    rng = random.Random(11)
+    rng, plant_rng = random.Random(11), random.Random(13)
     products, seen = [], set()
     for cell in default_grid(max_order=3):
         product = build_expectation(cell.semiring, cell.module).product
         if _key(product) not in seen:
             seen.add(_key(product))
             products.append(product)
-    broken = 0
+    broken = out_of_range = 0
     for product in products:
         n = product.size
-        for trial in range(9):
+        planted = (True, 1.0, "1", None, [], -1, n, 255, 256, 10**6)
+        for trial in range(9 + len(planted)):
             data = semiring_to_dict(product)
-            if trial:  # trial 0 keeps the valid tables; the others change one entry of add or mul
+            if 0 < trial < 9:  # trial 0 keeps the valid tables; 1-8 change one entry of add or mul
                 data[("add", "mul")[trial % 2]][rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            elif trial:  # the rest plant a value that is no index, and a second one in either table
+                k = trial - 9
+                data[("add", "mul")[k % 2]][plant_rng.randrange(n)][plant_rng.randrange(n)] = planted[k]
+                second = planted[(k + 3) % len(planted)]
+                data[plant_rng.choice(("add", "mul"))][plant_rng.randrange(n)][plant_rng.randrange(n)] = second
             expected = literal_semiring_violations(data)
+            got = [(v.axiom, v.witness) for v in semiring_violations(data)]
+            assert got == expected, (product.name, data)
+            if expected:
+                with pytest.raises(InvalidStructure) as err:
+                    validate_semiring(data)
+                assert [(v.axiom, v.witness) for v in err.value.violations] == expected, (product.name, data)
+            else:
+                assert validate_semiring(data).mul_table == tuple(map(tuple, data["mul"]))
+            if trial >= 9:
+                assert expected and all(law.endswith("_entry_range") for law, _w in expected), product.name
+                out_of_range += len(expected)
+                continue
             add, mul = (tuple(map(tuple, data[op])) for op in ("add", "mul"))
             laws = dict(expected)
             assert first_nonassociative(add, add) == laws.get("add_associativity"), product.name
             assert first_nonassociative(mul, mul) == laws.get("mul_associativity"), product.name
             assert first_nondistributive(add, mul) == laws.get("left_distributivity"), product.name
             assert first_nondistributive(add, tuple(zip(*mul))) == laws.get("right_distributivity"), product.name
-            assert [(v.axiom, v.witness) for v in semiring_violations(data)] == expected, (product.name, data)
             assert trial or not expected
             broken += any(law.endswith(("associativity", "distributivity")) for law, _w in expected)
     assert len(products) == 60 and max(p.size for p in products) == 16 and broken > 300
+    assert out_of_range > 1000

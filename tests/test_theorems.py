@@ -19,7 +19,7 @@ from semiringlab import (
     weakly_prime_forward_probe,
 )
 from semiringlab.ideals import Ideal, NotAnIdeal, NotASubmodule, Subsemimodule
-from semiringlab.tables import FiniteSemimodule, InvalidStructure, same_semiring
+from semiringlab.tables import FiniteSemimodule, InvalidStructure, same_semiring, semimodule_violations
 from semiringlab.theorems import (
     CHECKS,
     FAIL,
@@ -289,6 +289,10 @@ def test_product_check_lists_violated_axioms_of_a_broken_module():
         with pytest.raises(InvalidStructure) as err:
             catalog.trivial_module(bad)
         assert [str(x) for x in err.value.violations] == ["base_mul_entry_range(2, 2)"]
+        # the JSON boundary reports a file's bad entries and then the base's, as that guard does
+        data = {"size": 1, "zero": 0, "add": [[True]], "action": [[0]] * 3}
+        found = [str(x) for x in semimodule_violations(bad, data)]
+        assert found == ["add_entry_range(0, 0)", "base_mul_entry_range(2, 2)"]
 
 
 # The even ideal boxed with the whole module: the one prime and maximal ideal of E(zmod_4, zmod_4).
