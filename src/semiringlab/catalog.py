@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from .tables import (
+    _BYTE_CARRIER,
     BaseMismatch,
     FiniteSemimodule,
     FiniteSemiring,
@@ -34,7 +35,6 @@ from .tables import (
     Table,
     checked_semimodule,
     checked_semiring,
-    same_semiring,
 )
 
 MAX_ENUM_ORDER = 4
@@ -71,6 +71,15 @@ def _is_prime_number(p: int) -> bool:
     return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
+def _family_parameter(name: str, digits: str, extra: int) -> int:
+    """The parameter of a family name, refused before any table or primality test when
+    its carrier of ``parameter + extra`` elements is past ``_BYTE_CARRIER``."""
+    k = int(digits) if len(digits) < 10 else _BYTE_CARRIER + 1  # int() raises past 4,300 digits
+    if k + extra > _BYTE_CARRIER:
+        raise UnknownName(f"builtin carriers have at most {_BYTE_CARRIER} elements: {name}")
+    return k
+
+
 def builtin(name: str) -> CatalogEntry:
     """Look up a named builtin semiring; its tables go through the axiom scans."""
     if name == "boolean":
@@ -80,24 +89,24 @@ def builtin(name: str) -> CatalogEntry:
         # the subsets of a two-point set as bitmasks, join | and meet &.
         structure = _op_semiring(name, 4, 3, operator.or_, operator.and_)
     elif m := re.fullmatch(r"chain_(\d+)", name):
-        k = int(m.group(1))
+        k = _family_parameter(name, m.group(1), 1)
         if k < 1:
             raise UnknownName(f"chain height must be >= 1: {name}")
         structure = _op_semiring(f"chain_{k}", k + 1, k, max, min)
     elif m := re.fullmatch(r"trunc_nat_(\d+)", name):
-        k = int(m.group(1))
+        k = _family_parameter(name, m.group(1), 1)
         if k < 1:
             raise UnknownName(f"truncation bound must be >= 1: {name}")
         structure = _op_semiring(
             f"trunc_nat_{k}", k + 1, 1, lambda i, j: min(i + j, k), lambda i, j: min(i * j, k)
         )
     elif m := re.fullmatch(r"zmod_(\d+)", name):
-        n = int(m.group(1))
+        n = _family_parameter(name, m.group(1), 0)
         if n < 2:
             raise UnknownName(f"modulus must be >= 2: {name}")
         structure = _op_semiring(f"zmod_{n}", n, 1, lambda i, j: (i + j) % n, lambda i, j: (i * j) % n)
     elif m := re.fullmatch(r"field_(\d+)", name):
-        p = int(m.group(1))
+        p = _family_parameter(name, m.group(1), 0)
         if not _is_prime_number(p):
             raise UnknownName(f"field order must be prime here: {name}")
         structure = _op_semiring(name, p, 1, lambda i, j: (i + j) % p, lambda i, j: (i * j) % p)
@@ -144,7 +153,7 @@ def zmod_quotient_module(n: int, d: int) -> FiniteSemimodule:
 
 def product_module(m1: FiniteSemimodule, m2: FiniteSemimodule) -> FiniteSemimodule:
     """Componentwise product of two modules over the same base."""
-    if not same_semiring(m1.base, m2.base):
+    if m1.base != m2.base:
         raise BaseMismatch("product modules need a common base semiring")
     m = m2.size  # the pair (x, y) has index x * m + y
     pairs = [(x, y) for x in range(m1.size) for y in range(m)]

@@ -22,7 +22,6 @@ from .tables import (
     FiniteSemiring,
     additive_closure,
     checked_semiring,
-    same_semiring,
 )
 
 
@@ -57,7 +56,7 @@ def build_expectation(semiring: FiniteSemiring, module: FiniteSemimodule) -> Exp
     (they skip the JSON parse), so a returned instance is a certified
     semiring and not just an application of the formulas.
     """
-    if not same_semiring(module.base, semiring):
+    if module.base != semiring:
         raise BaseMismatch("module is not defined over the given semiring")
     n, m = semiring.size, module.size
     s_add, s_mul = semiring.add_table, semiring.mul_table

@@ -19,12 +19,15 @@ outer index as a bytes string and compare the whole row at once; every
 triple is still checked, and the first differing byte gives the row-major
 first witness.  A carrier of more than 256 elements does not fit in bytes
 and takes the triple loop.  Structures are immutable once built and safe to
-share between concurrent workers.
+share between concurrent workers.  Equality is structural: ``==`` and
+``hash`` ignore the ``name`` label.  A module file's embedded ``base`` object
+is parsed and compared with the semiring it is read over, which is trusted
+for its laws, not law-scanned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 Table = tuple[tuple[int, ...], ...]
@@ -70,7 +73,7 @@ class FiniteSemiring:
     mul_table: Table
     zero: int
     one: int
-    name: str = ""
+    name: str = field(default="", compare=False)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -94,7 +97,7 @@ class FiniteSemimodule:
     add_table: Table
     action_table: Table
     zero: int
-    name: str = ""
+    name: str = field(default="", compare=False)
 
     def add(self, x: int, y: int) -> int:
         return self.add_table[x][y]
@@ -130,17 +133,6 @@ class Subset:
 
     def is_proper(self) -> bool:
         return len(self.members) < self.parent.size
-
-
-def same_semiring(a: FiniteSemiring, b: FiniteSemiring) -> bool:
-    """Structural equality, ignoring the name label."""
-    return (a.size, a.zero, a.one, a.add_table, a.mul_table) == (
-        b.size,
-        b.zero,
-        b.one,
-        b.add_table,
-        b.mul_table,
-    )
 
 
 def _first_noncommutative(table: Table, n: int) -> tuple[int, int] | None:
@@ -400,7 +392,8 @@ def validate_semiring(data: Mapping) -> FiniteSemiring:
 
 
 def _parse_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[FiniteSemiring, Table, Table, int]:
-    """Check the shape and base of semimodule ``data``; its base, tables and zero for the law layer."""
+    """Check the shape of semimodule ``data`` and that an embedded base equals ``base``;
+    its base, tables and zero for the law layer."""
     m = data.get("size")
     if not _is_int(m) or m < 1:
         raise SizeMismatch("size must be an integer >= 1")
@@ -410,8 +403,8 @@ def _parse_semimodule(base: FiniteSemiring, data: Mapping) -> tuple[FiniteSemiri
     if "base" in data and data["base"] is not None:
         embedded = data["base"]
         if isinstance(embedded, Mapping):
-            declared = validate_semiring(embedded)
-            if not same_semiring(declared, base):
+            add, mul, e_zero, e_one = _parse_semiring(embedded)  # compared, not law-scanned: base is trusted
+            if FiniteSemiring(len(add), add, mul, e_zero, e_one) != base:
                 raise BaseMismatch("embedded base semiring differs from the supplied one")
         elif not isinstance(embedded, str):
             # string bases are references (builtin name or path) the caller resolves
@@ -479,14 +472,12 @@ def semiring_to_dict(s: FiniteSemiring) -> dict:
     }
 
 
-def semimodule_to_dict(m: FiniteSemimodule, *, include_base: bool = True) -> dict:
-    out = {
+def semimodule_to_dict(m: FiniteSemimodule) -> dict:
+    return {
         "name": m.name,
         "size": m.size,
         "zero": m.zero,
         "add": [list(row) for row in m.add_table],
         "action": [list(row) for row in m.action_table],
+        "base": semiring_to_dict(m.base),
     }
-    if include_base:
-        out["base"] = semiring_to_dict(m.base)
-    return out

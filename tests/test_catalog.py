@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -42,13 +43,23 @@ def test_builtin_spot_tables():
 
 
 def test_unknown_names_rejected():
-    for name in ("nonsense", "field_4", "zmod_1", "chain_0", "trunc_nat_0"):
+    # a carrier past 256 elements is refused before any table is built
+    for name in ("nonsense", "field_4", "zmod_1", "chain_0", "trunc_nat_0",
+                 "zmod_257", "chain_256", "trunc_nat_256", "field_257", "zmod_" + "9" * 30):
         with pytest.raises(UnknownName):
             builtin(name)
+    assert builtin("chain_255").structure.size == builtin("zmod_256").structure.size == 256
 
 
 def test_field_names_alias_modular_tables():
-    assert builtin("field_3").structure.add_table == builtin("zmod_3").structure.add_table
+    field, zmod = builtin("field_3").structure, builtin("zmod_3").structure
+    assert field.add_table == zmod.add_table
+    # equality and hash compare the tables, not the name label
+    assert field.name != zmod.name and field == zmod and hash(field) == hash(zmod)
+    assert replace(field, name="x") == field
+    assert self_module(field) == self_module(zmod) and hash(self_module(field)) == hash(self_module(zmod))
+    assert field != builtin("zmod_2").structure and replace(field, one=2) != field
+    assert self_module(zmod) != replace(self_module(zmod), zero=1)
 
 
 def test_exactly_two_semirings_of_order_two():
@@ -139,6 +150,11 @@ def test_product_module_requires_common_base():
     assert squared.size == 4
     with pytest.raises(BaseMismatch):
         product_module(self_module(b), self_module(z2))
+    # bases with the same tables are the same base, whatever their labels
+    field, zmod = builtin("field_3").structure, builtin("zmod_3").structure
+    assert product_module(self_module(field), self_module(zmod)).size == 9
+    with pytest.raises(BaseMismatch):
+        product_module(self_module(zmod), self_module(builtin("chain_2").structure))  # also 3 elements
 
 
 def test_builtin_pairs_respect_the_size_bound():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from semiringlab import builtin, cli, numeric, semimodule_to_dict, semiring_to_dict, zmod_quotient_module
+from semiringlab import (
+    builtin, cli, numeric, self_module, semimodule_to_dict, semiring_to_dict, tables, zmod_quotient_module,
+)
 from semiringlab.cli import main
 from semiringlab.numeric import forward_total
 
@@ -49,7 +51,7 @@ def test_validate_json_report(tmp_path, z4_file):
 
 
 def test_builtin_base_name_resolution(tmp_path):
-    data = semimodule_to_dict(zmod_quotient_module(4, 2), include_base=False)
+    data = semimodule_to_dict(zmod_quotient_module(4, 2))
     data["base"] = "zmod_4"
     path = write(tmp_path / "named_base.json", data)
     assert main(["validate", path]) == 0
@@ -88,9 +90,10 @@ def test_ideals_rejects_a_malformed_pairing(capsys, tmp_path, pairing):
     assert err.startswith("error: pairing must be a list of 2 ")
 
 
-@pytest.mark.parametrize("base", ["no_such_builtin", "missing.json"])
+# a family name past the builtin bound is refused before any table is built
+@pytest.mark.parametrize("base", ["no_such_builtin", "missing.json", "zmod_" + "9" * 30])
 def test_validate_reports_a_bad_module_base_and_goes_on(capsys, tmp_path, z4_file, base):
-    data = semimodule_to_dict(zmod_quotient_module(4, 2), include_base=False)
+    data = semimodule_to_dict(zmod_quotient_module(4, 2))
     data["base"] = base
     bad = write(tmp_path / "bad_base.json", data)
     report = tmp_path / "report.json"
@@ -132,7 +135,8 @@ def test_validate_reports_a_bad_file_and_goes_on(capsys, tmp_path, z4_file, cont
 
 
 def test_a_null_module_base_falls_back_to_the_semiring(capsys, tmp_path, z4_file):
-    data = semimodule_to_dict(zmod_quotient_module(4, 2), include_base=False)
+    data = semimodule_to_dict(zmod_quotient_module(4, 2))
+    del data["base"]
     outputs = []
     for name, module in (("absent", data), ("null", dict(data, base=None))):
         path = write(tmp_path / f"{name}.json", module)
@@ -151,6 +155,25 @@ def test_ideals_refuses_a_carrier_past_the_bound(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err == "error: carrier size 65 exceeds bound 64\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, scans", [("validate", 1), ("expectation-build", 3), ("classify", 3)])
+def test_an_embedded_base_is_law_scanned_once(monkeypatch, capsys, tmp_path, command, scans):
+    z3 = builtin("zmod_3").structure
+    semiring = write(tmp_path / "z3.json", semiring_to_dict(z3))
+    module = write(tmp_path / "z3_self.json", semimodule_to_dict(self_module(z3)))
+    calls = []
+    scan = tables._scan_semiring
+    monkeypatch.setattr(tables, "_scan_semiring", lambda *args: calls.append(args) or scan(*args))
+    argv = {
+        "validate": ["validate", module],
+        "expectation-build": ["expectation-build", "--semiring", semiring, "--module", module,
+                              "--out", str(tmp_path / "e.json")],
+        "classify": ["classify", "--instance", semiring, "--module", module],
+    }[command]
+    assert main(argv) == 0
+    # the embedded base once; the other two are the given semiring and the built product
+    assert len(calls) == scans
 
 
 def test_classify_product(capsys, tmp_path, z4_file, module_file):

@@ -53,6 +53,12 @@ def test_base_mismatch_rejected():
     b = builtin("boolean").structure
     with pytest.raises(BaseMismatch):
         build_expectation(b, zmod_quotient_module(4, 2))
+    z2 = builtin("zmod_2").structure  # same size as boolean, other tables
+    with pytest.raises(BaseMismatch):
+        build_expectation(z2, self_module(b))
+    # the base is compared by its tables: field_3 and zmod_3 differ only in the label
+    field, zmod = builtin("field_3").structure, builtin("zmod_3").structure
+    assert build_expectation(field, self_module(zmod)).product.size == 9
 
 
 def test_embedding_is_a_homomorphism():

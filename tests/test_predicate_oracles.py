@@ -462,7 +462,8 @@ def test_action_law_scans_match_literal_loops():
     for module in modules:
         base = module.base
         for trial in range(4):
-            data = semimodule_to_dict(module, include_base=False)
+            data = semimodule_to_dict(module)
+            del data["base"]
             rows = data["action"]
             if trial:  # trial 0 keeps the valid table
                 rows[rng.randrange(base.size)][rng.randrange(module.size)] = rng.randrange(module.size)

@@ -237,6 +237,18 @@ def test_embedded_base_must_match():
     data["base"] = BOOLEAN
     with pytest.raises(BaseMismatch):
         semimodule_violations(base, data)
+    # an embedded base is compared with the supplied one, not law-scanned: one
+    # that breaks a law or holds a bad entry is a mismatch, not InvalidStructure
+    for cell, value in (((0, 1), 0), ((2, 3), True), ((3, 3), 4)):
+        broken = json.loads(json.dumps(ZMOD4))
+        broken["add"][cell[0]][cell[1]] = value
+        data["base"] = broken
+        with pytest.raises(BaseMismatch):
+            semimodule_violations(base, data)
+        with pytest.raises(BaseMismatch):
+            validate_semimodule(base, data)
+    data["base"] = dict(ZMOD4, name="renamed")  # the label takes no part
+    assert semimodule_violations(base, data) == []
 
 
 def test_v_set_examples():
