@@ -7,7 +7,6 @@ products on a catalog grid, and compute expectations over weighted DAGs.
 """
 
 from .catalog import (
-    CatalogEntry,
     OrderTooLarge,
     UnknownName,
     are_isomorphic,

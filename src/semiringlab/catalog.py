@@ -23,8 +23,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import replace
 
 from .tables import (
     _BYTE_CARRIER,
@@ -46,13 +45,6 @@ class UnknownName(ValueError):
 
 class OrderTooLarge(ValueError):
     """Exhaustive enumeration refused beyond the supported order."""
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    structure: Union[FiniteSemiring, FiniteSemimodule]
-    provenance: str  # "builtin" or "enumerated"
 
 
 def _table(n_rows: int, n_cols: int, op) -> Table:
@@ -80,39 +72,38 @@ def _family_parameter(name: str, digits: str, extra: int) -> int:
     return k
 
 
-def builtin(name: str) -> CatalogEntry:
-    """Look up a named builtin semiring; its tables go through the axiom scans."""
+def builtin(name: str) -> FiniteSemiring:
+    """The named builtin semiring, its tables through the axiom scans.  A family
+    name drops leading zeros of its parameter: ``zmod_04`` is named ``zmod_4``."""
     if name == "boolean":
-        structure = _op_semiring(name, 2, 1, max, min)
+        return _op_semiring(name, 2, 1, max, min)
     elif name == "diamond":
         # Four-element lattice 0 < {1, 2} < 3 with two incomparable midpoints:
         # the subsets of a two-point set as bitmasks, join | and meet &.
-        structure = _op_semiring(name, 4, 3, operator.or_, operator.and_)
+        return _op_semiring(name, 4, 3, operator.or_, operator.and_)
     elif m := re.fullmatch(r"chain_(\d+)", name):
         k = _family_parameter(name, m.group(1), 1)
         if k < 1:
             raise UnknownName(f"chain height must be >= 1: {name}")
-        structure = _op_semiring(f"chain_{k}", k + 1, k, max, min)
+        return _op_semiring(f"chain_{k}", k + 1, k, max, min)
     elif m := re.fullmatch(r"trunc_nat_(\d+)", name):
         k = _family_parameter(name, m.group(1), 1)
         if k < 1:
             raise UnknownName(f"truncation bound must be >= 1: {name}")
-        structure = _op_semiring(
+        return _op_semiring(
             f"trunc_nat_{k}", k + 1, 1, lambda i, j: min(i + j, k), lambda i, j: min(i * j, k)
         )
     elif m := re.fullmatch(r"zmod_(\d+)", name):
         n = _family_parameter(name, m.group(1), 0)
         if n < 2:
             raise UnknownName(f"modulus must be >= 2: {name}")
-        structure = _op_semiring(f"zmod_{n}", n, 1, lambda i, j: (i + j) % n, lambda i, j: (i * j) % n)
+        return _op_semiring(f"zmod_{n}", n, 1, lambda i, j: (i + j) % n, lambda i, j: (i * j) % n)
     elif m := re.fullmatch(r"field_(\d+)", name):
         p = _family_parameter(name, m.group(1), 0)
         if not _is_prime_number(p):
             raise UnknownName(f"field order must be prime here: {name}")
-        structure = _op_semiring(name, p, 1, lambda i, j: (i + j) % p, lambda i, j: (i * j) % p)
-    else:
-        raise UnknownName(f"no builtin named {name!r}")
-    return CatalogEntry(name=name, structure=structure, provenance="builtin")
+        return _op_semiring(f"field_{p}", p, 1, lambda i, j: (i + j) % p, lambda i, j: (i * j) % p)
+    raise UnknownName(f"no builtin named {name!r}")
 
 
 BUILTIN_SEMIRING_NAMES = (
@@ -145,7 +136,7 @@ def zmod_quotient_module(n: int, d: int) -> FiniteSemimodule:
     """The modular carrier of size d as a module over the modular semiring of size n."""
     if n % d != 0:
         raise BaseMismatch(f"{d} does not divide {n}; reduction is not well defined")
-    base = builtin(f"zmod_{n}").structure
+    base = builtin(f"zmod_{n}")
     return checked_semimodule(
         base, _table(d, d, lambda i, j: (i + j) % d), _table(n, d, lambda s, x: (s * x) % d), 0, f"zmod_{d}"
     )
@@ -166,12 +157,12 @@ def product_module(m1: FiniteSemimodule, m2: FiniteSemimodule) -> FiniteSemimodu
     )
 
 
-def standard_modules(name: str, semiring: FiniteSemiring) -> list[FiniteSemimodule]:
+def standard_modules(semiring: FiniteSemiring) -> list[FiniteSemimodule]:
     """The stock modules shipped with a builtin: trivial, self-action,
-    modular reductions where the name allows, and a small componentwise square."""
+    modular reductions where its name allows, and a small componentwise square."""
     own = self_module(semiring)
     modules = [trivial_module(semiring), own]
-    if m := re.fullmatch(r"zmod_(\d+)", name):
+    if m := re.fullmatch(r"zmod_(\d+)", semiring.name):
         n = int(m.group(1))
         for d in range(2, n):
             if n % d == 0:
@@ -191,8 +182,8 @@ def builtin_pairs(max_product: int = 16) -> list[tuple[str, FiniteSemiring, Fini
     for name in BUILTIN_SEMIRING_NAMES:
         if name.startswith("field_"):
             continue
-        semiring = builtin(name).structure
-        for module in standard_modules(name, semiring):
+        semiring = builtin(name)
+        for module in standard_modules(semiring):
             if semiring.size * module.size <= max_product:
                 pairs.append((name, semiring, module))
     return pairs
@@ -255,16 +246,12 @@ def _monoids(n: int):
         yield dict(add)
 
 
-def _named(prefix: str, structures) -> list[CatalogEntry]:
-    """Catalog entries named ``prefix.00``, ``prefix.01``, ... in order."""
-    names = [f"{prefix}.{i:02d}" for i in range(len(structures))]
-    return [
-        CatalogEntry(name=name, structure=replace(s, name=name), provenance="enumerated")
-        for name, s in zip(names, structures)
-    ]
+def _named(prefix: str, structures) -> list:
+    """The structures, named ``prefix.00``, ``prefix.01``, ... in order."""
+    return [replace(s, name=f"{prefix}.{i:02d}") for i, s in enumerate(structures)]
 
 
-def enumerate_semirings(order: int, *, dedup: bool = False) -> list[CatalogEntry]:
+def enumerate_semirings(order: int, *, dedup: bool = False) -> list[FiniteSemiring]:
     """All semirings of the given order with zero=0 and one=1 fixed.
 
     No isomorphism reduction happens below order 4 (label-sensitivity bugs
@@ -305,7 +292,7 @@ def enumerate_semirings(order: int, *, dedup: bool = False) -> list[CatalogEntry
     return _named(f"S{n}", entries)
 
 
-def enumerate_semimodules(semiring: FiniteSemiring, order: int) -> list[CatalogEntry]:
+def enumerate_semimodules(semiring: FiniteSemiring, order: int) -> list[FiniteSemimodule]:
     """All modules of the given order over the semiring, zero fixed at 0.
 
     The search that lists the semirings fills the addition, then the action

@@ -83,7 +83,7 @@ def _resolve_base(data: dict, path: str):
         if base.endswith(".json"):
             candidate = Path(path).parent / base
             return validate_semiring(_load_json(str(candidate)))
-        return catalog.builtin(base).structure
+        return catalog.builtin(base)
     raise BaseMismatch(
         "module files need a 'base': an inline semiring object, a builtin name, or a .json path"
     )
@@ -219,23 +219,21 @@ def cmd_enumerate(args) -> int:
         raise OutputNotEmpty(f"{args.out}: output directory already holds files")
     if args.modules_over:
         semiring = validate_semiring(_load_json(args.modules_over))
-        entries = catalog.enumerate_semimodules(semiring, args.order)
-        as_dict = lambda e: semimodule_to_dict(e.structure)
+        structures = catalog.enumerate_semimodules(semiring, args.order)
+        as_dict = semimodule_to_dict
     else:
-        entries = catalog.enumerate_semirings(args.order)
-        as_dict = lambda e: semiring_to_dict(e.structure)
-    print(f"found {len(entries)} structures of order {args.order}")
+        structures = catalog.enumerate_semirings(args.order)
+        as_dict = semiring_to_dict
+    print(f"found {len(structures)} structures of order {args.order}")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for entry in entries:
-            payload = as_dict(entry)
-            payload["name"] = entry.name
-            _write_json(str(out_dir / f"{entry.name}.json"), payload)
-        print(f"wrote {len(entries)} files to {out_dir}")
+        for structure in structures:
+            _write_json(str(out_dir / f"{structure.name}.json"), as_dict(structure))
+        print(f"wrote {len(structures)} files to {out_dir}")
     else:
-        for entry in entries:
-            print(f"  {entry.name}")
+        for structure in structures:
+            print(f"  {structure.name}")
     return 0
 
 

@@ -691,11 +691,10 @@ def default_grid(max_order: int = 3, *, include_builtins: bool = True, module_or
         raise catalog.OrderTooLarge(f"supported orders are 2..{catalog.MAX_ENUM_ORDER}, got {max_order}")
     cells = []
     for n in range(2, max_order + 1):
-        for s_entry in catalog.enumerate_semirings(n):
+        for semiring in catalog.enumerate_semirings(n):
             for m in range(1, module_order + 1):
-                for m_entry in catalog.enumerate_semimodules(s_entry.structure, m):
-                    label = f"E({s_entry.name}, {m_entry.name})"
-                    cells.append(GridCell(label, s_entry.structure, m_entry.structure))
+                for module in catalog.enumerate_semimodules(semiring, m):
+                    cells.append(GridCell(f"E({semiring.name}, {module.name})", semiring, module))
     if include_builtins:
         for name, semiring, module in catalog.builtin_pairs():
             label = f"E({name}, {module.name or 'M'})"
@@ -748,7 +747,7 @@ def weakly_prime_forward_probe() -> dict:
     converse direction of the lift does not hold in general.  Informational
     only, never a suite failure.
     """
-    semiring = catalog.builtin("zmod_4").structure
+    semiring = catalog.builtin("zmod_4")
     module = catalog.self_module(semiring)
     instance = build_expectation(semiring, module)
     box_wp = is_weakly_prime(Ideal(instance.product, box_members(instance, {0, 2}, module.elements())))

@@ -64,11 +64,11 @@ def full_report():
 
 def mutated_tables():
     """Ten broken tables, each paired with the axiom name it must trip."""
-    z4 = semiring_to_dict(builtin("zmod_4").structure)
-    b = semiring_to_dict(builtin("boolean").structure)
-    chain = semiring_to_dict(builtin("chain_2").structure)
-    trunc = semiring_to_dict(builtin("trunc_nat_2").structure)
-    z2 = semiring_to_dict(builtin("zmod_2").structure)
+    z4 = semiring_to_dict(builtin("zmod_4"))
+    b = semiring_to_dict(builtin("boolean"))
+    chain = semiring_to_dict(builtin("chain_2"))
+    trunc = semiring_to_dict(builtin("trunc_nat_2"))
+    z2 = semiring_to_dict(builtin("zmod_2"))
 
     def patched(data, table, cell, value, **extra):
         out = {k: ([row[:] for row in v] if isinstance(v, list) else v) for k, v in data.items()}
@@ -103,13 +103,13 @@ def mutated_tables():
 def test_criterion_1_validator():
     def body():
         for name in BUILTIN_SEMIRING_NAMES:
-            semiring = builtin(name).structure
+            semiring = builtin(name)
             assert semiring_violations(semiring_to_dict(semiring)) == [], name
-            for module in standard_modules(name, semiring):
+            for module in standard_modules(semiring):
                 data = semimodule_to_dict(module)
                 del data["base"]
                 assert semimodule_violations(semiring, data) == [], f"{name}/{module.name}"
-        z4 = builtin("zmod_4").structure
+        z4 = builtin("zmod_4")
         rejected = 0
         for kind, data, expected_axiom in mutated_tables():
             if kind == "semiring":
@@ -130,8 +130,8 @@ def test_criterion_2_enumeration_ground_truth():
         assert len(order2) == 2, f"expected exactly 2, got {len(order2)}"
         order3 = enumerate_semirings(3)
         for name in ("zmod_3", "chain_2", "trunc_nat_2"):
-            target = builtin(name).structure
-            assert any(are_isomorphic(e.structure, target) for e in order3), name
+            target = builtin(name)
+            assert any(are_isomorphic(e, target) for e in order3), name
         return f"2 structures of order 2; order 3 has {len(order3)} incl. the required ones"
 
     timed(2, 10.0, body)
@@ -228,7 +228,7 @@ def test_readme_library_example_runs():
 
 def test_criterion_5_spot_values():
     def body():
-        b = builtin("boolean").structure
+        b = builtin("boolean")
         bb = build_expectation(b, self_module(b))
         pairs = lambda members: {bb.pair_of(k) for k in members}
         assert pairs(Census(bb.product).units) == {(1, 0)}
@@ -237,7 +237,7 @@ def test_criterion_5_spot_values():
         assert pairs(Census(bb.product).idempotents) == {(0, 0), (1, 0), (1, 1)}
         assert Census(bb.product).presimplifiable is False
 
-        z4 = builtin("zmod_4").structure
+        z4 = builtin("zmod_4")
         z4z4 = build_expectation(z4, self_module(z4))
         pairs4 = {z4z4.pair_of(k) for k in Census(z4z4.product).idempotents}
         assert pairs4 == {(0, 0), (1, 0)}

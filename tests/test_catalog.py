@@ -7,6 +7,7 @@ import pytest
 
 from semiringlab import (
     BaseMismatch,
+    FiniteSemiring,
     OrderTooLarge,
     UnknownName,
     are_isomorphic,
@@ -26,19 +27,19 @@ from semiringlab.tables import validate_semiring
 
 def test_builtin_names_all_resolve():
     for name in BUILTIN_SEMIRING_NAMES:
-        entry = builtin(name)
-        assert entry.provenance == "builtin"
-        assert entry.structure.size >= 2
+        semiring = builtin(name)
+        assert isinstance(semiring, FiniteSemiring) and semiring.name == name
+        assert semiring.size >= 2
 
 
 def test_builtin_spot_tables():
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     assert b.add(1, 1) == 1
-    trunc = builtin("trunc_nat_2").structure
+    trunc = builtin("trunc_nat_2")
     assert trunc.add(1, 2) == 2 and trunc.mul(2, 2) == 2
-    chain = builtin("chain_2").structure
+    chain = builtin("chain_2")
     assert chain.one == 2 and chain.mul(1, 2) == 1
-    diamond = builtin("diamond").structure
+    diamond = builtin("diamond")
     assert diamond.add(1, 2) == 3 and diamond.mul(1, 2) == 0
 
 
@@ -48,17 +49,20 @@ def test_unknown_names_rejected():
                  "zmod_257", "chain_256", "trunc_nat_256", "field_257", "zmod_" + "9" * 30):
         with pytest.raises(UnknownName):
             builtin(name)
-    assert builtin("chain_255").structure.size == builtin("zmod_256").structure.size == 256
+    assert builtin("chain_255").size == builtin("zmod_256").size == 256
 
 
 def test_field_names_alias_modular_tables():
-    field, zmod = builtin("field_3").structure, builtin("zmod_3").structure
+    field, zmod = builtin("field_3"), builtin("zmod_3")
     assert field.add_table == zmod.add_table
+    # every family drops leading zeros from the name, the field family too
+    names = ("field_03", "zmod_03", "chain_02", "trunc_nat_02")
+    assert [builtin(name).name for name in names] == ["field_3", "zmod_3", "chain_2", "trunc_nat_2"]
     # equality and hash compare the tables, not the name label
     assert field.name != zmod.name and field == zmod and hash(field) == hash(zmod)
     assert replace(field, name="x") == field
     assert self_module(field) == self_module(zmod) and hash(self_module(field)) == hash(self_module(zmod))
-    assert field != builtin("zmod_2").structure and replace(field, one=2) != field
+    assert field != builtin("zmod_2") and replace(field, one=2) != field
     assert self_module(zmod) != replace(self_module(zmod), zero=1)
 
 
@@ -66,30 +70,30 @@ def test_exactly_two_semirings_of_order_two():
     entries = enumerate_semirings(2)
     assert len(entries) == 2
     # the two differ only in 1+1, which also separates them up to isomorphism
-    assert {e.structure.add(1, 1) for e in entries} == {0, 1}
-    assert not are_isomorphic(entries[0].structure, entries[1].structure)
+    assert {e.add(1, 1) for e in entries} == {0, 1}
+    assert not are_isomorphic(entries[0], entries[1])
 
 
 def test_order_three_contains_the_expected_builtins():
     entries = enumerate_semirings(3)
     assert entries
     for name in ("zmod_3", "chain_2", "trunc_nat_2"):
-        target = builtin(name).structure
-        assert any(are_isomorphic(e.structure, target) for e in entries), name
+        target = builtin(name)
+        assert any(are_isomorphic(e, target) for e in entries), name
 
 
 def test_order_four_contains_its_builtins():
     entries = enumerate_semirings(4)
     for name in ("zmod_4", "diamond", "trunc_nat_3"):
-        target = builtin(name).structure
-        assert any(are_isomorphic(e.structure, target) for e in entries), name
+        target = builtin(name)
+        assert any(are_isomorphic(e, target) for e in entries), name
     deduped = enumerate_semirings(4, dedup=True)
     assert len(deduped) <= len(entries)
 
 
 def test_enumeration_is_deterministic():
-    first = [(e.name, e.structure.add_table, e.structure.mul_table) for e in enumerate_semirings(3)]
-    second = [(e.name, e.structure.add_table, e.structure.mul_table) for e in enumerate_semirings(3)]
+    first = [(e.name, e.add_table, e.mul_table) for e in enumerate_semirings(3)]
+    second = [(e.name, e.add_table, e.mul_table) for e in enumerate_semirings(3)]
     assert first == second
 
 
@@ -99,39 +103,39 @@ def test_enumeration_order_bounds():
     with pytest.raises(OrderTooLarge):
         enumerate_semirings(1)
     with pytest.raises(OrderTooLarge):
-        enumerate_semimodules(builtin("boolean").structure, 5)
+        enumerate_semimodules(builtin("boolean"), 5)
 
 
 def test_module_enumeration_ground_truth():
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     only = enumerate_semimodules(b, 1)
-    assert len(only) == 1 and only[0].structure.size == 1
+    assert len(only) == 1 and only[0].size == 1
 
     mods2 = enumerate_semimodules(b, 2)
     assert len(mods2) == 1
-    assert mods2[0].structure.add_table == b.add_table
-    assert mods2[0].structure.action_table == b.mul_table
+    assert mods2[0].add_table == b.add_table
+    assert mods2[0].action_table == b.mul_table
 
-    z2 = builtin("zmod_2").structure
+    z2 = builtin("zmod_2")
     mods = enumerate_semimodules(z2, 2)
     assert any(
-        m.structure.add_table == z2.add_table and m.structure.action_table == z2.mul_table
+        m.add_table == z2.add_table and m.action_table == z2.mul_table
         for m in mods
     )
 
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     reduction = zmod_quotient_module(4, 2)
     assert any(
-        m.structure.add_table == reduction.add_table
-        and m.structure.action_table == reduction.action_table
+        m.add_table == reduction.add_table
+        and m.action_table == reduction.action_table
         for m in enumerate_semimodules(z4, 2)
     )
 
 
 def test_standard_modules_are_validated_for_every_builtin():
     for name in BUILTIN_SEMIRING_NAMES:
-        semiring = builtin(name).structure
-        modules = standard_modules(name, semiring)
+        semiring = builtin(name)
+        modules = standard_modules(semiring)
         assert modules[0].size == 1
         assert any(m.size == semiring.size for m in modules)
 
@@ -144,17 +148,17 @@ def test_quotient_action_values():
 
 
 def test_product_module_requires_common_base():
-    b = builtin("boolean").structure
-    z2 = builtin("zmod_2").structure
+    b = builtin("boolean")
+    z2 = builtin("zmod_2")
     squared = product_module(self_module(b), self_module(b))
     assert squared.size == 4
     with pytest.raises(BaseMismatch):
         product_module(self_module(b), self_module(z2))
     # bases with the same tables are the same base, whatever their labels
-    field, zmod = builtin("field_3").structure, builtin("zmod_3").structure
+    field, zmod = builtin("field_3"), builtin("zmod_3")
     assert product_module(self_module(field), self_module(zmod)).size == 9
     with pytest.raises(BaseMismatch):
-        product_module(self_module(zmod), self_module(builtin("chain_2").structure))  # also 3 elements
+        product_module(self_module(zmod), self_module(builtin("chain_2")))  # also 3 elements
 
 
 def test_builtin_pairs_respect_the_size_bound():
@@ -166,13 +170,13 @@ def test_builtin_pairs_respect_the_size_bound():
 
 
 def test_isomorphism_probe():
-    assert not are_isomorphic(builtin("boolean").structure, builtin("zmod_2").structure)
-    assert are_isomorphic(builtin("chain_2").structure, builtin("chain_2").structure)
+    assert not are_isomorphic(builtin("boolean"), builtin("zmod_2"))
+    assert are_isomorphic(builtin("chain_2"), builtin("chain_2"))
 
 
 def _digest(entries):
     rows = [
-        (e.name, e.structure.add_table, getattr(e.structure, "mul_table", None) or e.structure.action_table)
+        (e.name, e.add_table, getattr(e, "mul_table", None) or e.action_table)
         for e in entries
     ]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
@@ -182,7 +186,7 @@ def _modules_over(semirings):
     return [m for s in semirings for k in (1, 2, 3) for m in enumerate_semimodules(s, k)]
 
 
-_SMALL_BUILTINS = [builtin(n).structure for n in BUILTIN_SEMIRING_NAMES if builtin(n).structure.size <= 4]
+_SMALL_BUILTINS = [builtin(n) for n in BUILTIN_SEMIRING_NAMES if builtin(n).size <= 4]
 
 
 # Counts and digests of the enumeration, pinned so that a rewrite of the
@@ -211,17 +215,17 @@ _SMALL_BUILTINS = [builtin(n).structure for n in BUILTIN_SEMIRING_NAMES if built
             id="S4-dedup",
         ),
         pytest.param(
-            lambda: _modules_over(e.structure for e in enumerate_semirings(2)), 6,
+            lambda: _modules_over(e for e in enumerate_semirings(2)), 6,
             "eafa733c34315d5685f91b18fe81fde2515152fe4f4e73d79f3b30cc9c5e98af",
             id="M-over-S2",
         ),
         pytest.param(
-            lambda: _modules_over(e.structure for e in enumerate_semirings(3)), 40,
+            lambda: _modules_over(e for e in enumerate_semirings(3)), 40,
             "48c2ed9c269f70d357ca9573493910903390d3eca9f1311cf44fa74bc007849c",
             id="M-over-S3",
         ),
         pytest.param(
-            lambda: _modules_over(e.structure for e in enumerate_semirings(4)), 587,
+            lambda: _modules_over(e for e in enumerate_semirings(4)), 587,
             "65f82ec7ed62bd324b9bddd39a69e297ef5ceb6a6df6081e2f9f0d3b2e35708f",
             id="M-over-S4",
         ),
@@ -245,7 +249,7 @@ def test_enumeration_leaves_no_reference_cycles():
     gc.disable()
     try:
         enumerate_semirings(3)
-        enumerate_semimodules(builtin("zmod_2").structure, 3)
+        enumerate_semimodules(builtin("zmod_2"), 3)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -258,7 +262,7 @@ def test_search_leaves_the_validator_nothing_to_reject(monkeypatch):
     for name in ("checked_semiring", "checked_semimodule"):
         real = getattr(catalog, name)
         monkeypatch.setattr(catalog, name, lambda *args, real=real: calls.append(args) or real(*args))
-    semirings = [e.structure for n in (2, 3, 4) for e in enumerate_semirings(n)]
+    semirings = [e for n in (2, 3, 4) for e in enumerate_semirings(n)]
     modules = _modules_over(semirings + _SMALL_BUILTINS)
     assert len(calls) == len(semirings) + len(modules)
 
@@ -281,7 +285,7 @@ def reference_isomorphic(a, b):
 
 
 def test_isomorphism_matches_the_bijection_oracle_on_order_four():
-    entries = [e.structure for e in enumerate_semirings(4)]
+    entries = [e for e in enumerate_semirings(4)]
     pairs = list(itertools.combinations(entries, 2))
     assert len(pairs) == 2346
     mismatches = [(a.name, b.name) for a, b in pairs if are_isomorphic(a, b) != reference_isomorphic(a, b)]
@@ -301,7 +305,7 @@ def _relabel(s, p):
 
 
 def test_isomorphism_matches_the_bijection_oracle_on_relabelled_builtins():
-    structures = [builtin(n).structure for n in BUILTIN_SEMIRING_NAMES]
+    structures = [builtin(n) for n in BUILTIN_SEMIRING_NAMES]
     relabelled = []
     for s in structures:
         # reverse the carrier; from order 4 on, rotate until zero and one sit off 0 and 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from semiringlab import (
-    builtin, cli, numeric, self_module, semimodule_to_dict, semiring_to_dict, tables, zmod_quotient_module,
+    builtin, cli, enumerate_semimodules, enumerate_semirings, numeric, self_module, semimodule_to_dict,
+    semiring_to_dict, tables, zmod_quotient_module,
 )
 from semiringlab.cli import main
 from semiringlab.numeric import forward_total
@@ -19,7 +21,7 @@ def write(path, payload):
 
 @pytest.fixture
 def z4_file(tmp_path):
-    return write(tmp_path / "z4.json", semiring_to_dict(builtin("zmod_4").structure))
+    return write(tmp_path / "z4.json", semiring_to_dict(builtin("zmod_4")))
 
 
 @pytest.fixture
@@ -34,7 +36,7 @@ def test_validate_accepts_good_files(capsys, z4_file, module_file):
 
 
 def test_validate_reports_and_fails_on_bad_tables(capsys, tmp_path):
-    bad = semiring_to_dict(builtin("zmod_4").structure)
+    bad = semiring_to_dict(builtin("zmod_4"))
     bad["add"][0][1] = 0
     path = write(tmp_path / "bad.json", bad)
     assert main(["validate", path]) == 1
@@ -82,7 +84,7 @@ def test_ideals_report_without_a_pairing_lists_plain_indices(capsys, tmp_path, z
 
 @pytest.mark.parametrize("pairing", [[[0, 0]], [0, 1], 5], ids=["one-pair-for-two-elements", "flat-list", "number"])
 def test_ideals_rejects_a_malformed_pairing(capsys, tmp_path, pairing):
-    data = semiring_to_dict(builtin("boolean").structure)
+    data = semiring_to_dict(builtin("boolean"))
     data["pairing"] = pairing
     path = write(tmp_path / "paired.json", data)
     assert main(["ideals", "--instance", path]) == 1
@@ -150,7 +152,7 @@ def test_a_null_module_base_falls_back_to_the_semiring(capsys, tmp_path, z4_file
 
 
 def test_ideals_refuses_a_carrier_past_the_bound(capsys, tmp_path):
-    path = write(tmp_path / "chain.json", semiring_to_dict(builtin("chain_64").structure))
+    path = write(tmp_path / "chain.json", semiring_to_dict(builtin("chain_64")))
     assert main(["ideals", "--instance", path]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: carrier size 65 exceeds bound 64\n"
@@ -159,7 +161,7 @@ def test_ideals_refuses_a_carrier_past_the_bound(capsys, tmp_path):
 
 @pytest.mark.parametrize("command, scans", [("validate", 1), ("expectation-build", 3), ("classify", 3)])
 def test_an_embedded_base_is_law_scanned_once(monkeypatch, capsys, tmp_path, command, scans):
-    z3 = builtin("zmod_3").structure
+    z3 = builtin("zmod_3")
     semiring = write(tmp_path / "z3.json", semiring_to_dict(z3))
     module = write(tmp_path / "z3_self.json", semimodule_to_dict(self_module(z3)))
     calls = []
@@ -216,6 +218,36 @@ def test_enumerate_semirings_to_dir(capsys, tmp_path):
     assert main(["enumerate", "--order", "2", "--out", str(out_dir)]) == 0
     files = sorted(p.name for p in out_dir.iterdir())
     assert files == ["S2.00.json", "S2.01.json"]
+
+
+@pytest.mark.parametrize(
+    ("order", "over_z4", "digest"),
+    [
+        (2, False, "38bf3071c6c7a96d43eee8fd39bce46533524645c20041b0e1d65b4903d7d689"),
+        (4, True, "8c8f7e16af6f7741cac3b0887853d3c9af0d3cdb16a852e0edce73b834618cba"),
+    ],
+    ids=["semirings-2", "modules-4-over-zmod_4"],
+)
+def test_enumerate_out_files_carry_their_name_and_tables(capsys, tmp_path, z4_file, order, over_z4, digest):
+    # each file is named inside as on disk and reads back to the enumerated
+    # structure; the digest pins the bytes (sha256 over sorted name and content)
+    out_dir = tmp_path / "enum"
+    args = ["enumerate", "--order", str(order), "--out", str(out_dir)]
+    z4 = builtin("zmod_4")
+    if over_z4:
+        args += ["--modules-over", z4_file]
+        expected, read = enumerate_semimodules(z4, order), lambda data: tables.validate_semimodule(z4, data)
+    else:
+        expected, read = enumerate_semirings(order), tables.validate_semiring
+    assert main(args) == 0
+    files = sorted(out_dir.iterdir())
+    assert [p.stem for p in files] == [s.name for s in expected]
+    for path, structure in zip(files, expected):
+        data = json.loads(path.read_text())
+        assert data["name"] == path.stem
+        assert read(data) == structure
+    blob = b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in files)
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_enumerate_refuses_a_directory_that_holds_files(capsys, tmp_path, z4_file):

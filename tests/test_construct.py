@@ -21,12 +21,12 @@ from semiringlab import (
 
 
 def boolean_pair():
-    s = builtin("boolean").structure
+    s = builtin("boolean")
     return build_expectation(s, self_module(s))
 
 
 def zmod4_pair():
-    s = builtin("zmod_4").structure
+    s = builtin("zmod_4")
     return build_expectation(s, self_module(s))
 
 
@@ -50,14 +50,14 @@ def test_every_builtin_pair_builds_a_valid_semiring():
 
 
 def test_base_mismatch_rejected():
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     with pytest.raises(BaseMismatch):
         build_expectation(b, zmod_quotient_module(4, 2))
-    z2 = builtin("zmod_2").structure  # same size as boolean, other tables
+    z2 = builtin("zmod_2")  # same size as boolean, other tables
     with pytest.raises(BaseMismatch):
         build_expectation(z2, self_module(b))
     # the base is compared by its tables: field_3 and zmod_3 differ only in the label
-    field, zmod = builtin("field_3").structure, builtin("zmod_3").structure
+    field, zmod = builtin("field_3"), builtin("zmod_3")
     assert build_expectation(field, self_module(zmod)).product.size == 9
 
 
@@ -79,14 +79,14 @@ def test_slice_nilpotency_is_two():
 
 
 def test_slice_nilpotency_trivial_module():
-    s = builtin("zmod_4").structure
+    s = builtin("zmod_4")
     inst = build_expectation(s, trivial_module(s))
     assert zero_m_ideal_nilpotency(inst) == 1
 
 
 def test_matrix_presentation_agrees():
     assert matrix_iso_check(boolean_pair())
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     inst = build_expectation(z4, zmod_quotient_module(4, 2))
     assert matrix_iso_check(inst)
 

@@ -15,7 +15,7 @@ def load_script():
 
 
 def small_product():
-    boolean = builtin("boolean").structure
+    boolean = builtin("boolean")
     return build_expectation(boolean, self_module(boolean)).product
 
 

@@ -59,7 +59,7 @@ def brute_closed_sets(carrier):
 
 @pytest.mark.parametrize("name", ["boolean", "zmod_4", "trunc_nat_2", "diamond", "zmod_6"])
 def test_enumeration_matches_definition_oracle(name):
-    s = builtin(name).structure
+    s = builtin(name)
     assert [i.members for i in enumerate_ideals(s)] == brute_closed_sets(s)
     m = self_module(s)
     assert [n.members for n in enumerate_subsemimodules(m)] == brute_closed_sets(m)
@@ -67,7 +67,7 @@ def test_enumeration_matches_definition_oracle(name):
 
 def test_enumeration_strategies_agree_on_products():
     """NextClosure and the subset filter agree on products of 8 and 16 elements."""
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     small = build_expectation(z4, zmod_quotient_module(4, 2)).product
     large = build_expectation(z4, self_module(z4)).product
     for product in (small, large):
@@ -75,7 +75,7 @@ def test_enumeration_strategies_agree_on_products():
 
 
 def test_carrier_bound():
-    chain = builtin("chain_64").structure
+    chain = builtin("chain_64")
     assert chain.size == 65
     with pytest.raises(CarrierTooLarge, match="carrier size 65 exceeds bound 64"):
         enumerate_ideals(chain)
@@ -190,45 +190,45 @@ def test_check_statuses_are_label_invariant():
 
 
 def test_known_ideal_lattices():
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     assert [i.indices() for i in enumerate_ideals(b)] == [(0,), (0, 1)]
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     assert [i.indices() for i in enumerate_ideals(z4)] == [(0,), (0, 2), (0, 1, 2, 3)]
-    trunc = builtin("trunc_nat_2").structure
+    trunc = builtin("trunc_nat_2")
     assert [i.indices() for i in enumerate_ideals(trunc)] == [(0,), (0, 2), (0, 1, 2)]
 
 
 def test_subtractive_examples():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     assert is_subtractive(Ideal(z4, frozenset({0, 2})))
     assert is_subtractive(Ideal(z4, frozenset(range(4))))
-    trunc = builtin("trunc_nat_2").structure
+    trunc = builtin("trunc_nat_2")
     # 2 + 1 saturates to 2, which stays inside {0, 2} while 1 is outside
     assert not is_subtractive(Ideal(trunc, frozenset({0, 2})))
 
 
 def test_prime_maximal_primary_on_zmod4():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     ideals = enumerate_ideals(z4)
     evens = Ideal(z4, frozenset({0, 2}))
     assert is_prime(evens) and is_maximal(evens, ideals) and is_primary(evens)
     zero = Ideal(z4, frozenset({0}))
     assert not is_prime(zero)
     assert is_primary(zero)
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     assert is_prime(Ideal(b, frozenset({0})))
 
 
 @pytest.mark.parametrize("members", [{0, 1, 2, 3, -1}, {0, 9}], ids=["negative", "past-the-end"])
 def test_out_of_carrier_members_are_rejected(members):
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     for cls, parent in ((Ideal, z4), (Subsemimodule, self_module(z4))):
         with pytest.raises(ValueError, match="outside carrier"):
             cls(parent, frozenset(members))
 
 
 def test_predicates_reject_improper_ideals():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     whole = Ideal(z4, frozenset(range(4)))
     ideals = enumerate_ideals(z4)
     for predicate in (is_prime, is_primary, is_weakly_prime, lambda i: is_maximal(i, ideals)):
@@ -236,14 +236,14 @@ def test_predicates_reject_improper_ideals():
 
 
 def test_radical_examples():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     assert radical(Ideal(z4, frozenset({0}))).indices() == (0, 2)
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     assert radical(Ideal(b, frozenset({0}))).indices() == (0,)
 
 
 def test_radical_of_zero_box_in_zmod4_pair():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     inst = build_expectation(z4, self_module(z4))
     zero_box = Ideal(inst.product, frozenset({inst.product.zero}))
     expected = frozenset(inst.index_of(s, x) for s in (0, 2) for x in range(4))
@@ -251,7 +251,7 @@ def test_radical_of_zero_box_in_zmod4_pair():
 
 
 def test_residual_examples():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     m = self_module(z4)
     assert residual(Subsemimodule(m, frozenset({0}))).indices() == (0,)
     assert residual(Subsemimodule(m, frozenset({0, 2}))).indices() == (0, 2)
@@ -259,17 +259,17 @@ def test_residual_examples():
 
 
 def test_submodule_radical_examples():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     m = self_module(z4)
     assert submodule_radical(Subsemimodule(m, frozenset({0}))).indices() == (0, 2)
     assert submodule_radical(Subsemimodule(m, frozenset(range(4)))).indices() == (0, 1, 2, 3)
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     bm = self_module(b)
     assert submodule_radical(Subsemimodule(bm, frozenset({0}))).indices() == (0,)
 
 
 def test_primary_submodule_examples():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     m = self_module(z4)
     assert is_primary_submodule(Subsemimodule(m, frozenset({0})))
     assert is_primary_submodule(Subsemimodule(m, frozenset({0, 2})))
@@ -277,7 +277,7 @@ def test_primary_submodule_examples():
 
 
 def test_weakly_prime_examples():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     assert is_weakly_prime(Ideal(z4, frozenset({0})))
     assert is_weakly_prime(Ideal(z4, frozenset({0, 2})))
     inst = build_expectation(z4, self_module(z4))
@@ -286,7 +286,7 @@ def test_weakly_prime_examples():
 
 
 def test_annihilator_examples():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     assert annihilator(self_module(z4)).indices() == (0,)
     assert annihilator(zmod_quotient_module(4, 2)).indices() == (0, 2)
     from semiringlab import trivial_module
@@ -296,7 +296,7 @@ def test_annihilator_examples():
 
 def test_box_ideal_success_and_failure():
     # A validated box is the Ideal constructor over construct.box_members.
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     inst = build_expectation(z4, self_module(z4))
     box = Ideal(inst.product, box_members(inst, {0, 2}, range(4)))
     assert len(box) == 8
@@ -314,7 +314,7 @@ def test_box_ideal_success_and_failure():
 
 def test_projections_examples():
     # Validated projections are the Ideal and Subsemimodule constructors over construct.projections.
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     inst = build_expectation(z4, self_module(z4))
 
     def validated(j):
@@ -339,14 +339,14 @@ def test_projections_examples():
 
 
 def test_weak_gaussian_examples():
-    assert is_weak_gaussian(builtin("zmod_4").structure)
-    assert is_weak_gaussian(builtin("boolean").structure)
+    assert is_weak_gaussian(builtin("zmod_4"))
+    assert is_weak_gaussian(builtin("boolean"))
     # the saturating carrier has the non-subtractive prime {0, 2}
-    assert not is_weak_gaussian(builtin("trunc_nat_2").structure)
+    assert not is_weak_gaussian(builtin("trunc_nat_2"))
 
 
 def test_subsemimodule_enumeration():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     m = self_module(z4)
     assert [n.indices() for n in enumerate_subsemimodules(m)] == [
         (0,),

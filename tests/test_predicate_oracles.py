@@ -454,10 +454,9 @@ def test_action_law_scans_match_literal_loops():
     rng = random.Random(7)
     modules = []
     for n in (2, 3):
-        for entry in enumerate_semirings(n):
-            semiring = entry.structure
+        for semiring in enumerate_semirings(n):
             modules.append(semiring_as_module(semiring))  # (mul, mul): associativity of the table
-            modules += [m.structure for order in (1, 2, 3) for m in enumerate_semimodules(semiring, order)]
+            modules += [m for order in (1, 2, 3) for m in enumerate_semimodules(semiring, order)]
     broken = 0
     for module in modules:
         base = module.base

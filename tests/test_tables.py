@@ -175,14 +175,14 @@ def test_computed_tables_skip_the_json_parse(monkeypatch):
     monkeypatch.setattr(tables, "_parse_table", parse)
     assert builtin_pairs(max_product=32)
     assert enumerate_semirings(3)
-    enumerate_semimodules(builtin("zmod_3").structure, 2)
+    enumerate_semimodules(builtin("zmod_3"), 2)
     zmod_quotient_module(6, 3)
     for cell in default_grid():
         build_expectation(cell.semiring, cell.module)
     with pytest.raises(RuntimeError, match="JSON parse"):
         validate_semiring(BOOLEAN)
     with pytest.raises(RuntimeError, match="JSON parse"):
-        validate_semimodule(builtin("zmod_4").structure, mod2_action_data())
+        validate_semimodule(builtin("zmod_4"), mod2_action_data())
 
 
 def mod2_action_data():
@@ -254,13 +254,13 @@ def test_embedded_base_must_match():
 def test_v_set_examples():
     assert v_set(validate_semiring(BOOLEAN)) == {0}
     assert v_set(validate_semiring(ZMOD4)) == {0, 1, 2, 3}
-    trunc = builtin("trunc_nat_2").structure
+    trunc = builtin("trunc_nat_2")
     assert v_set(trunc) == {0}
 
 
 @pytest.mark.parametrize("name", ["boolean", "zmod_4", "chain_2", "diamond"])
 def test_v_set_membership_law(name):
-    s = builtin(name).structure
+    s = builtin(name)
     members = v_set(s)
     for x in s.elements():
         for y in s.elements():

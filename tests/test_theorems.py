@@ -39,14 +39,14 @@ def test_check_registry_ids_are_unique():
 
 
 def test_boolean_pair_passes_every_check():
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     records, _census = run_pair("E(boolean, boolean)", b, self_module(b))
     assert [r.theorem for r in records] == [theorem for theorem, _s, _f in CHECKS]
     assert all(r.status != FAIL for r in records)
 
 
 def test_zmod4_pair_statuses():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     records, _census = run_pair("E(zmod_4, zmod_4)", z4, self_module(z4))
     by_id = {r.theorem: r for r in records}
     assert all(r.status != FAIL for r in records)
@@ -60,7 +60,7 @@ def test_census_entries_are_computed_once_per_carrier(monkeypatch):
     # The cell context keeps one census per carrier role, and the scalar
     # census is the module census's base, so every element set and class
     # flag is computed at most once per carrier, and the scalar units once.
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     module = self_module(z4)
     roles = {id(z4): "scalar", id(module): "module"}
     calls = Counter()
@@ -87,8 +87,8 @@ def test_census_entries_are_computed_once_per_carrier(monkeypatch):
 def test_ideal_layer_facts_are_derived_once_per_cell(monkeypatch):
     # The cell context memoises the ideal-layer predicates by carrier role
     # and member set, so each runs at most once per distinct argument.
-    semiring = catalog.enumerate_semirings(3)[0].structure
-    module = catalog.enumerate_semimodules(semiring, 3)[0].structure
+    semiring = catalog.enumerate_semirings(3)[0]
+    module = catalog.enumerate_semimodules(semiring, 3)[0]
     assert len(ideals.enumerate_ideals(semiring)) == 3
     assert len(ideals.enumerate_subsemimodules(module)) == 4
 
@@ -115,7 +115,7 @@ def test_ideal_layer_facts_are_derived_once_per_cell(monkeypatch):
 
 
 def test_context_ideal_reads_the_enumeration_and_validates_the_rest():
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     ctx = PairContext(label="E(zmod_4, zmod_4)", semiring=z4, module=self_module(z4))
     evens = frozenset({0, 2})
     assert ctx.ideal("scalar", evens) is next(i for i in ctx.ideals_s if i.members == evens)
@@ -147,8 +147,8 @@ def test_primary_box_criterion_requires_a_primary_scalar_part():
     # rad I = rad(N : M) = {0, 3}.  The box is not primary, since
     # (3, 0)(2, 0) = (0, 0) and no power of (2, 0) lies in it; nor is I,
     # since 3 * 2 = 0.  Requiring I primary makes Cor-2.15 pass here.
-    semiring = next(e.structure for e in catalog.enumerate_semirings(4) if e.name == "S4.06")
-    module = next(e.structure for e in catalog.enumerate_semimodules(semiring, 2) if e.name == "M2.01")
+    semiring = next(s for s in catalog.enumerate_semirings(4) if s.name == "S4.06")
+    module = next(m for m in catalog.enumerate_semimodules(semiring, 2) if m.name == "M2.01")
     ctx = PairContext(label="E(S4.06, M2.01)", semiring=semiring, module=module)
     assert all(ideals.is_subtractive(n) for n in ctx.submods_m)
     i, n = ctx.ideal("scalar", frozenset({0})), ctx.submodule(frozenset({0}))
@@ -160,8 +160,8 @@ def test_primary_box_criterion_requires_a_primary_scalar_part():
 
 
 def test_suite_report_shape_and_uniqueness():
-    b = builtin("boolean").structure
-    z2 = builtin("zmod_2").structure
+    b = builtin("boolean")
+    z2 = builtin("zmod_2")
     cells = [
         GridCell("E(boolean, boolean)", b, self_module(b)),
         GridCell("E(zmod_2, zmod_2)", z2, self_module(z2)),
@@ -178,7 +178,7 @@ def test_suite_report_shape_and_uniqueness():
 
 
 def test_numeric_sections_present():
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     report = run_suite([GridCell("E(boolean, zero)", b, self_module(b))], seed=5)
     ids = {r.theorem for r in report.records}
     assert "numeric-weight-laws" in ids and "numeric-oracle" in ids
@@ -193,7 +193,7 @@ def test_forward_probe_confirms_counterexample():
 
 
 def test_probe_is_informational_not_a_failure():
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     report = run_suite([GridCell("E(boolean, boolean)", b, self_module(b))], seed=0)
     ids = {note["id"] for note in report.informational}
     assert "weakly-prime-forward-probe" in ids
@@ -257,7 +257,7 @@ def test_cells_go_to_workers_in_about_16_chunks_each(monkeypatch, count, workers
 
 
 def test_matrix_rendering_mentions_totals():
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     report = run_suite([GridCell("E(boolean, boolean)", b, self_module(b))], seed=0)
     text = report.format_matrix()
     assert "instances: 1" in text and "fail: 0" in text
@@ -265,7 +265,7 @@ def test_matrix_rendering_mentions_totals():
 
 def test_product_check_lists_violated_axioms_of_a_broken_module():
     # an unvalidated module whose unit scalar acts as zero: (1, 0) is no longer the identity
-    b = builtin("boolean").structure
+    b = builtin("boolean")
     dead = FiniteSemimodule(
         base=b, size=2, add_table=((0, 1), (1, 1)), action_table=((0, 0), (0, 0)), zero=0
     )
@@ -273,7 +273,7 @@ def test_product_check_lists_violated_axioms_of_a_broken_module():
     assert check_product_is_semiring(ctx) == (FAIL, ["mul_identity(1)"])
     # an unvalidated zmod_3 whose mul[2][2] leaves the carrier: past its end, below
     # zero, past one byte; the product entry is out of range, never read through
-    z3 = builtin("zmod_3").structure
+    z3 = builtin("zmod_3")
     for v in (3, -1, 300):
         mul = tuple(
             tuple(v if (r, c) == (2, 2) else x for c, x in enumerate(row)) for r, row in enumerate(z3.mul_table)
@@ -318,7 +318,7 @@ REAL_IS_PRIME, REAL_IS_MAXIMAL = ideals.is_prime, ideals.is_maximal
 def test_full_module_box_witnesses_are_pinned(monkeypatch, patches, expected):
     for name, fn in patches.items():
         monkeypatch.setattr(theorems, name, fn)
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     records, _census = run_pair("E(zmod_4, zmod_4)", z4, self_module(z4))
     got = {r.theorem: r.witness for r in records if r.theorem in expected}
     assert got == expected
@@ -333,7 +333,7 @@ def test_box_check_reports_a_legal_box_that_is_no_ideal(monkeypatch):
     # Thm-2.6-2 reads legality apart from the validated boxes, so it reports
     # that pair instead of the constructor's crash.
     monkeypatch.setattr(theorems, "residual_members", lambda module, members: frozenset(module.base.elements()))
-    z4 = builtin("zmod_4").structure
+    z4 = builtin("zmod_4")
     records, _census = run_pair("E(zmod_4, zmod_4)", z4, self_module(z4))
     by_id = {r.theorem: r for r in records}
     assert (by_id["Thm-2.6-2"].status, by_id["Thm-2.6-2"].witness) == (FAIL, {"ideal": [0, 2], "submodule": [0]})

@@ -40,8 +40,8 @@ def carriers() -> list[tuple[str, FiniteSemiring]]:
     """(label, product semiring) of each measured cell, smallest first."""
     pairs = {f"E({name}, {m.name})": (s, m) for name, s, m in catalog.builtin_pairs(max_product=32)}
     out = [(label, build_expectation(*pairs[label]).product) for label in BUILTIN_CELLS]
-    s = next(e.structure for e in enumerate_semirings(2) if e.structure.name == "S2.01")
-    m = next(e.structure for e in enumerate_semimodules(s, 4) if e.structure.name == "M4.00")
+    s = next(s for s in enumerate_semirings(2) if s.name == "S2.01")
+    m = next(m for m in enumerate_semimodules(s, 4) if m.name == "M4.00")
     p = build_expectation(s, m).product
     out.append((SELF_CELL, build_expectation(p, catalog.self_module(p)).product))
     return out
