@@ -21,9 +21,9 @@ to 1.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
-from dataclasses import replace
 
 from .tables import (
     _BYTE_CARRIER,
@@ -55,6 +55,11 @@ def _table(n_rows: int, n_cols: int, op) -> Table:
 def _op_semiring(name: str, n: int, one: int, add, mul) -> FiniteSemiring:
     """The semiring on 0..n-1 with zero 0 and the given operations."""
     return checked_semiring(_table(n, n, add), _table(n, n, mul), 0, one, name)
+
+
+def _residue_tables(n: int) -> tuple[Table, Table]:
+    """The addition and multiplication tables of the integers modulo n."""
+    return _table(n, n, lambda i, j: (i + j) % n), _table(n, n, lambda i, j: (i * j) % n)
 
 
 def _is_prime_number(p: int) -> bool:
@@ -97,12 +102,12 @@ def builtin(name: str) -> FiniteSemiring:
         n = _family_parameter(name, m.group(1), 0)
         if n < 2:
             raise UnknownName(f"modulus must be >= 2: {name}")
-        return _op_semiring(f"zmod_{n}", n, 1, lambda i, j: (i + j) % n, lambda i, j: (i * j) % n)
+        return checked_semiring(*_residue_tables(n), 0, 1, f"zmod_{n}")
     elif m := re.fullmatch(r"field_(\d+)", name):
         p = _family_parameter(name, m.group(1), 0)
         if not _is_prime_number(p):
             raise UnknownName(f"field order must be prime here: {name}")
-        return _op_semiring(f"field_{p}", p, 1, lambda i, j: (i + j) % p, lambda i, j: (i * j) % p)
+        return checked_semiring(*_residue_tables(p), 0, 1, f"field_{p}")
     raise UnknownName(f"no builtin named {name!r}")
 
 
@@ -136,9 +141,13 @@ def zmod_quotient_module(n: int, d: int) -> FiniteSemimodule:
     """The modular carrier of size d as a module over the modular semiring of size n."""
     if n % d != 0:
         raise BaseMismatch(f"{d} does not divide {n}; reduction is not well defined")
-    base = builtin(f"zmod_{n}")
+    return _reduction(builtin(f"zmod_{n}"), d)
+
+
+def _reduction(base: FiniteSemiring, d: int) -> FiniteSemimodule:
+    """The integers modulo d over ``base``, the integers modulo a multiple of d."""
     return checked_semimodule(
-        base, _table(d, d, lambda i, j: (i + j) % d), _table(n, d, lambda s, x: (s * x) % d), 0, f"zmod_{d}"
+        base, _table(d, d, lambda i, j: (i + j) % d), _table(base.size, d, lambda s, x: (s * x) % d), 0, f"zmod_{d}"
     )
 
 
@@ -157,17 +166,23 @@ def product_module(m1: FiniteSemimodule, m2: FiniteSemimodule) -> FiniteSemimodu
     )
 
 
-def standard_modules(semiring: FiniteSemiring) -> list[FiniteSemimodule]:
-    """The stock modules shipped with a builtin: trivial, self-action,
-    modular reductions where its name allows, and a small componentwise square."""
-    own = self_module(semiring)
-    modules = [trivial_module(semiring), own]
-    if m := re.fullmatch(r"zmod_(\d+)", semiring.name):
-        n = int(m.group(1))
-        for d in range(2, n):
-            if n % d == 0:
-                modules.append(zmod_quotient_module(n, d))
-    if semiring.size**3 <= 64:
+def standard_modules(semiring: FiniteSemiring, max_product: float = math.inf) -> list[FiniteSemimodule]:
+    """The stock modules shipped with a builtin: trivial, self-action, the
+    modular reductions of a residue ring, and a small componentwise square.
+
+    Only the modules M with ``|S| * |M| <= max_product`` are built.  The
+    semiring is a residue ring when its tables are those of the integers
+    modulo its size, whatever its ``name``; each reduction is built over it.
+    """
+    n = semiring.size
+    fits = lambda size: n * size <= max_product
+    modules = [trivial_module(semiring)] if fits(1) else []
+    if fits(n):
+        own = self_module(semiring)
+        modules.append(own)
+    if semiring == FiniteSemiring(n, *_residue_tables(n), 0, 1):
+        modules += [_reduction(semiring, d) for d in range(2, n) if n % d == 0 and fits(d)]
+    if n**3 <= 64 and fits(n * n):
         modules.append(product_module(own, own))
     return modules
 
@@ -183,9 +198,7 @@ def builtin_pairs(max_product: int = 16) -> list[tuple[str, FiniteSemiring, Fini
         if name.startswith("field_"):
             continue
         semiring = builtin(name)
-        for module in standard_modules(semiring):
-            if semiring.size * module.size <= max_product:
-                pairs.append((name, semiring, module))
+        pairs += [(name, semiring, module) for module in standard_modules(semiring, max_product)]
     return pairs
 
 
@@ -248,7 +261,7 @@ def _monoids(n: int):
 
 def _named(prefix: str, structures) -> list:
     """The structures, named ``prefix.00``, ``prefix.01``, ... in order."""
-    return [replace(s, name=f"{prefix}.{i:02d}") for i, s in enumerate(structures)]
+    return [s.replace(name=f"{prefix}.{i:02d}") for i, s in enumerate(structures)]
 
 
 def enumerate_semirings(order: int, *, dedup: bool = False) -> list[FiniteSemiring]:

@@ -14,8 +14,8 @@ the zero-scalar slice, and cross-checks the triangular-record presentation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from .records import FrozenRecord
 from .tables import (
     BaseMismatch,
     FiniteSemimodule,
@@ -25,17 +25,19 @@ from .tables import (
 )
 
 
-@dataclass(frozen=True)
-class ExpectationInstance:
+class ExpectationInstance(FrozenRecord):
     """A built product semiring plus back-references to its factors.
 
     Product index k is the pair (k // m, k % m) of a scalar index and a
     module index, where m is the module size.
     """
 
-    product: FiniteSemiring
-    factor_semiring: FiniteSemiring
-    factor_module: FiniteSemimodule
+    __slots__ = _fields = ("product", "factor_semiring", "factor_module")
+
+    def __init__(self, product: FiniteSemiring, factor_semiring: FiniteSemiring, factor_module: FiniteSemimodule):
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "factor_semiring", factor_semiring)
+        object.__setattr__(self, "factor_module", factor_module)
 
     def index_of(self, s: int, x: int) -> int:
         return s * self.factor_module.size + x

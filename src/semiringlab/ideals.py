@@ -28,7 +28,6 @@ finite carrier because the power sequence cycles by then.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -95,24 +94,22 @@ def submodule_violation(module: FiniteSemimodule, members: frozenset[int]) -> tu
     return _violation(module.add_table, module.action_table, members, "act")
 
 
-@dataclass(frozen=True)
 class Ideal(Subset):
-    parent: FiniteSemiring
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        bad = ideal_violation(self.parent, self.members)
+    def __init__(self, parent: FiniteSemiring, members: frozenset[int]):
+        super().__init__(parent, members)
+        bad = ideal_violation(parent, members)
         if bad is not None:
             raise NotAnIdeal(f"not an ideal: fails {bad[0]} closure at {bad[1]}", bad[1])
 
 
-@dataclass(frozen=True)
 class Subsemimodule(Subset):
-    parent: FiniteSemimodule
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        bad = submodule_violation(self.parent, self.members)
+    def __init__(self, parent: FiniteSemimodule, members: frozenset[int]):
+        super().__init__(parent, members)
+        bad = submodule_violation(parent, members)
         if bad is not None:
             raise NotASubmodule(f"not a subsemimodule: fails {bad[0]} closure at {bad[1]}", bad[1])
 

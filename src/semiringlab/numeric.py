@@ -21,11 +21,18 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
+
+from .records import FrozenRecord
 
 TOL_REL = 1e-9
 TOL_ABS = 1e-12
+
+# The largest vector dimension d a graph file may declare.  Every edge vector
+# has d entries, so a graph with edges spells d out in its own input; a graph
+# without edges does not, and a larger d there would make ``expect`` build
+# and print a zero vector of any length from a file of a few bytes.
+MAX_DIM = 4096
 
 
 class DimensionMismatch(ValueError):
@@ -56,23 +63,22 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=TOL_REL, abs_tol=TOL_ABS)
 
 
-@dataclass(frozen=True)
-class NumericWeight:
+class NumericWeight(FrozenRecord):
     """Pair of nonnegative mass p and feature-total vector r."""
 
-    p: float
-    r: tuple[float, ...]
+    __slots__ = _fields = ("p", "r")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: float, r: Sequence[float]):
         try:
-            object.__setattr__(self, "p", float(self.p))
-            object.__setattr__(self, "r", tuple(map(float, self.r)))
+            p, r = float(p), tuple(map(float, r))
         except TypeError:
-            if isinstance(self.p, NumericWeight) or any(isinstance(x, NumericWeight) for x in self.r):
+            if isinstance(p, NumericWeight) or any(isinstance(x, NumericWeight) for x in r):
                 raise TypeError("weights nest raw floats, not other weights") from None
             raise
-        if not self.p >= 0.0:
-            raise ValueError(f"mass must be nonnegative, got {self.p}")
+        if not p >= 0.0:
+            raise ValueError(f"mass must be nonnegative, got {p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
 
     @property
     def dim(self) -> int:
@@ -120,8 +126,7 @@ class GraphEdge(NamedTuple):
     v: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class WeightedDag:
+class WeightedDag(FrozenRecord):
     """Acyclic graph with raw (p, v) edge data, validated and ordered at load time.
 
     Edges carry unlifted data; lifting happens inside the traversals, and
@@ -131,21 +136,17 @@ class WeightedDag:
     counts: O(V + E) in all, and ``outgoing`` is a lookup.
     """
 
-    dim: int
-    nodes: tuple[str, ...]
-    source: str
-    sink: str
-    edges: tuple[GraphEdge, ...]
+    _fields = ("dim", "nodes", "source", "sink", "edges")
+    __slots__ = (*_fields, "_out", "_topo")
 
-    def __post_init__(self) -> None:
-        out: dict[str, list[GraphEdge]] = {node: [] for node in self.nodes}
-        if len(out) != len(self.nodes):
+    def __init__(self, dim: int, nodes: tuple[str, ...], source: str, sink: str, edges: tuple[GraphEdge, ...]):
+        out: dict[str, list[GraphEdge]] = {node: [] for node in nodes}
+        if len(out) != len(nodes):
             raise InvalidGraph("duplicate node labels")
-        source, sink, dim = self.source, self.sink, self.dim
         if source not in out or sink not in out:
             raise InvalidGraph("source and sink must be declared nodes")
-        incoming = dict.fromkeys(self.nodes, 0)
-        for e in self.edges:
+        incoming = dict.fromkeys(nodes, 0)
+        for e in edges:
             src, dst, p, v = e
             if isinstance(p, NumericWeight) or isinstance(v, NumericWeight):
                 raise InvalidGraph("edges carry raw (p, v) data; pre-lifted weights are rejected")
@@ -172,17 +173,22 @@ class WeightedDag:
                 incoming[e.dst] -= 1
                 if incoming[e.dst] == 0:
                     ready.append(e.dst)
-        if len(order) != len(self.nodes):
+        if len(order) != len(nodes):
             raise CycleDetected("edge list contains a directed cycle")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "sink", sink)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_out", {node: tuple(es) for node, es in out.items()})
         object.__setattr__(self, "_topo", tuple(order))
 
     @property
     def topological_order(self) -> tuple[str, ...]:
-        return self._topo  # type: ignore[attr-defined]
+        return self._topo
 
     def outgoing(self, node: str) -> tuple[GraphEdge, ...]:
-        return self._out.get(node, ())  # type: ignore[attr-defined]
+        return self._out.get(node, ())
 
 
 _NUMBER_TYPES = frozenset({int, float})  # JSON numbers; bool is a separate type
@@ -200,13 +206,16 @@ def _edge_from_dict(e: Mapping) -> GraphEdge:
 def graph_from_dict(data: Mapping) -> WeightedDag:
     """Load the graph JSON shape {d, nodes, source, sink, edges:[{from,to,p,v}]}.
 
-    ``d`` must be a non-negative integer, ``nodes`` a list, each edge's ``p``
-    a number and its ``v`` (empty when left out) a list of numbers.
+    ``d`` must be a non-negative integer of at most ``MAX_DIM``, ``nodes`` a
+    list, each edge's ``p`` a number and its ``v`` (empty when left out) a
+    list of numbers.
     """
     try:
         dim, nodes = data["d"], data["nodes"]
         if type(dim) is not int or dim < 0:
             raise InvalidGraph(f"'d' must be a non-negative integer, got {dim!r}")
+        if dim > MAX_DIM:
+            raise InvalidGraph(f"'d' must be at most {MAX_DIM}, got {dim}")
         if not isinstance(nodes, list):
             raise InvalidGraph(f"'nodes' must be a list, got {nodes!r}")
         edges = tuple(map(_edge_from_dict, data["edges"]))

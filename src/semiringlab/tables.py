@@ -27,8 +27,9 @@ for its laws, not law-scanned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
+
+from .records import FrozenRecord
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -41,12 +42,14 @@ class BaseMismatch(ValueError):
     """A semimodule was combined with a semiring it is not defined over."""
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(FrozenRecord):
     """A violated axiom together with a witness tuple of element indices."""
 
-    axiom: str
-    witness: tuple[int, ...]
+    __slots__ = _fields = ("axiom", "witness")
+
+    def __init__(self, axiom: str, witness: tuple[int, ...]):
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "witness", witness)
 
     def __str__(self) -> str:
         inner = ", ".join(str(i) for i in self.witness)
@@ -64,16 +67,22 @@ class InvalidStructure(ValueError):
         super().__init__(f"invalid {kind} {name!r}: {detail}")
 
 
-@dataclass(frozen=True)
-class FiniteSemiring:
-    """Commutative semiring on ``0..size-1`` given by addition/multiplication tables."""
+class FiniteSemiring(FrozenRecord):
+    """Commutative semiring on ``0..size-1`` given by addition/multiplication tables.
 
-    size: int
-    add_table: Table
-    mul_table: Table
-    zero: int
-    one: int
-    name: str = field(default="", compare=False)
+    ``name`` is a label: ``==`` and ``hash`` ignore it.
+    """
+
+    __slots__ = _fields = ("size", "add_table", "mul_table", "zero", "one", "name")
+    _compared = _fields[:-1]
+
+    def __init__(self, size: int, add_table: Table, mul_table: Table, zero: int, one: int, name: str = ""):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "add_table", add_table)
+        object.__setattr__(self, "mul_table", mul_table)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "name", name)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -85,19 +94,25 @@ class FiniteSemiring:
         return range(self.size)
 
 
-@dataclass(frozen=True)
-class FiniteSemimodule:
+class FiniteSemimodule(FrozenRecord):
     """Additive monoid on ``0..size-1`` with a scalar action of ``base``.
 
     ``action_table[s][x]`` is the product of scalar ``s`` with element ``x``.
+    ``name`` is a label: ``==`` and ``hash`` ignore it.
     """
 
-    base: FiniteSemiring
-    size: int
-    add_table: Table
-    action_table: Table
-    zero: int
-    name: str = field(default="", compare=False)
+    __slots__ = _fields = ("base", "size", "add_table", "action_table", "zero", "name")
+    _compared = _fields[:-1]
+
+    def __init__(
+        self, base: FiniteSemiring, size: int, add_table: Table, action_table: Table, zero: int, name: str = ""
+    ):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "add_table", add_table)
+        object.__setattr__(self, "action_table", action_table)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "name", name)
 
     def add(self, x: int, y: int) -> int:
         return self.add_table[x][y]
@@ -112,18 +127,18 @@ class FiniteSemimodule:
 Carrier = Union[FiniteSemiring, FiniteSemimodule]
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(FrozenRecord):
     """Members of a validated closed set over a carrier: the base of ``Ideal`` and ``Subsemimodule``."""
 
-    parent: Carrier
-    members: frozenset[int]
+    __slots__ = _fields = ("parent", "members")
 
-    def __post_init__(self) -> None:
-        size = self.parent.size
-        if self.members and not (0 <= min(self.members) and max(self.members) < size):
-            bad = [i for i in self.members if not 0 <= i < size]
+    def __init__(self, parent: Carrier, members: frozenset[int]):
+        size = parent.size
+        if members and not (0 <= min(members) and max(members) < size):
+            bad = [i for i in members if not 0 <= i < size]
             raise ValueError(f"subset members {sorted(bad)} outside carrier 0..{size - 1}")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import catalog
@@ -52,6 +51,7 @@ from .ideals import (
     residual_members,
 )
 from .numeric import oracle_disagreements, weight_law_failures
+from .records import Record
 from .tables import FiniteSemimodule, FiniteSemiring, InvalidStructure, Subset
 
 PASS = "pass"
@@ -62,13 +62,15 @@ NA = "not-applicable"
 _ENUMERATED = {"scalar": "ideals_s", "module": "submods_m", "product": "ideals_e"}
 
 
-@dataclass
-class CheckRecord:
-    theorem: str
-    instance: str
-    status: str
-    witness: object = None
-    runtime: float = 0.0
+class CheckRecord(Record):
+    __slots__ = _fields = ("theorem", "instance", "status", "witness", "runtime")
+
+    def __init__(self, theorem: str, instance: str, status: str, witness: object = None, runtime: float = 0.0):
+        self.theorem = theorem
+        self.instance = instance
+        self.status = status
+        self.witness = witness
+        self.runtime = runtime
 
     def to_dict(self) -> dict:
         return {
@@ -80,8 +82,7 @@ class CheckRecord:
         }
 
 
-@dataclass
-class PairContext:
+class PairContext(Record):
     """One grid cell: the factors, the built product, and every fact the checks derive.
 
     The context is the cell's derived-data layer.  ``ideal`` and
@@ -94,12 +95,22 @@ class PairContext:
     die with the context; nothing is shared between cells.
     """
 
-    label: str
-    semiring: FiniteSemiring
-    module: FiniteSemimodule
-    # labels of the structures found strongly associate but not presimplifiable
-    strongly_associate_only: list[str] = field(default_factory=list)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = ("label", "semiring", "module", "strongly_associate_only")
+    _compared = (*_fields, "_memo")
+
+    def __init__(
+        self,
+        label: str,
+        semiring: FiniteSemiring,
+        module: FiniteSemimodule,
+        strongly_associate_only: list[str] | None = None,
+    ):
+        self.label = label
+        self.semiring = semiring
+        self.module = module
+        # labels of the structures found strongly associate but not presimplifiable
+        self.strongly_associate_only = [] if strongly_associate_only is None else strongly_associate_only
+        self._memo: dict = {}
 
     @cached_property
     def instance(self) -> ExpectationInstance:
@@ -678,11 +689,13 @@ CHECK_STATEMENTS["numeric-weight-laws"] = "weight arithmetic satisfies the carri
 CHECK_STATEMENTS["numeric-oracle"] = "forward totals agree with explicit path enumeration within tolerance"
 
 
-@dataclass
-class GridCell:
-    label: str
-    semiring: FiniteSemiring
-    module: FiniteSemimodule
+class GridCell(Record):
+    __slots__ = _fields = ("label", "semiring", "module")
+
+    def __init__(self, label: str, semiring: FiniteSemiring, module: FiniteSemimodule):
+        self.label = label
+        self.semiring = semiring
+        self.module = module
 
 
 def default_grid(max_order: int = 3, *, include_builtins: bool = True, module_order: int = 3) -> list[GridCell]:
@@ -764,12 +777,14 @@ def weakly_prime_forward_probe() -> dict:
     }
 
 
-@dataclass
-class VerificationReport:
-    records: list[CheckRecord]
-    informational: list[dict]
-    grid_labels: list[str]
-    seed: int
+class VerificationReport(Record):
+    __slots__ = _fields = ("records", "informational", "grid_labels", "seed")
+
+    def __init__(self, records: list[CheckRecord], informational: list[dict], grid_labels: list[str], seed: int):
+        self.records = records
+        self.informational = informational
+        self.grid_labels = grid_labels
+        self.seed = seed
 
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if r.status == FAIL]

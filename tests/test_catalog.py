@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -60,10 +59,10 @@ def test_field_names_alias_modular_tables():
     assert [builtin(name).name for name in names] == ["field_3", "zmod_3", "chain_2", "trunc_nat_2"]
     # equality and hash compare the tables, not the name label
     assert field.name != zmod.name and field == zmod and hash(field) == hash(zmod)
-    assert replace(field, name="x") == field
+    assert field.replace(name="x") == field
     assert self_module(field) == self_module(zmod) and hash(self_module(field)) == hash(self_module(zmod))
-    assert field != builtin("zmod_2") and replace(field, one=2) != field
-    assert self_module(zmod) != replace(self_module(zmod), zero=1)
+    assert field != builtin("zmod_2") and field.replace(one=2) != field
+    assert self_module(zmod) != self_module(zmod).replace(zero=1)
 
 
 def test_exactly_two_semirings_of_order_two():
@@ -167,6 +166,42 @@ def test_builtin_pairs_respect_the_size_bound():
     assert all(s.size * m.size <= 16 for _n, s, m in pairs)
     names = {name for name, _s, _m in pairs}
     assert "zmod_4" in names and "diamond" in names
+
+
+def test_standard_modules_read_the_tables_not_the_label():
+    # a chain labelled like a residue ring gets no reductions ...
+    chain = builtin("chain_3").replace(name="zmod_4")
+    modules = standard_modules(chain)
+    assert [m.name for m in modules] == ["zero", "zmod_4", "zmod_4xzmod_4"]
+    assert all(m.base is chain for m in modules)
+    # ... and a residue ring under another label gets them, built over it
+    z4 = builtin("zmod_4").replace(name="S4.11")
+    modules = standard_modules(z4)
+    assert [m.name for m in modules] == ["zero", "S4.11", "zmod_2", "S4.11xS4.11"]
+    assert all(m.base is z4 for m in modules)
+    assert modules[2] == zmod_quotient_module(4, 2)
+
+
+@pytest.mark.parametrize(
+    "bound, count, digest",
+    [
+        (16, 22, "2230d5cf95e59f8bc826bf37017b3b0c9aeab17284be153e67bd63dfe75fb7bf"),
+        (32, 27, "e690ae0cdd9e11b4df310fc936094aba35e6dbc83011690cf38729a4c45f56a8"),
+    ],
+)
+def test_builtin_pairs_build_only_the_modules_they_keep(monkeypatch, bound, count, digest):
+    built = []
+
+    def counting(*args):
+        built.append(checked_semimodule(*args))
+        return built[-1]
+
+    checked_semimodule = catalog.checked_semimodule
+    monkeypatch.setattr(catalog, "checked_semimodule", counting)
+    pairs = builtin_pairs(bound)
+    assert len(pairs) == len(built) == count
+    rows = [(n, s.name, s.add_table, s.mul_table, m.name, m.add_table, m.action_table, m.zero) for n, s, m in pairs]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_isomorphism_probe():

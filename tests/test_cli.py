@@ -366,6 +366,23 @@ def test_expect_rejects_a_fractional_dimension(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_expect_refuses_a_dimension_no_edge_confirms(tmp_path, capsys):
+    # 77 bytes that used to make expect allocate about 245 MB and print 50 MB of zeros
+    path = tmp_path / "g.json"
+    path.write_text('{"d": 10000000, "nodes": ["s", "t"], "source": "s", "sink": "t", "edges": []}')
+    assert path.stat().st_size == 77
+    assert main(["expect", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: 'd' must be at most {numeric.MAX_DIM}, got 10000000\n"
+    assert captured.out == ""
+    # a small edgeless graph still prints its zero totals
+    small = {"d": 2, "nodes": ["s", "t"], "source": "s", "sink": "t", "edges": []}
+    assert main(["expect", "--graph", write(path, small)]) == 0
+    assert capsys.readouterr().out == "Z = 0.0\nr = [0.0, 0.0]\nexpectation undefined: zero total mass\n"
+    assert main(["expect", "--graph", write(path, dict(small, d=numeric.MAX_DIM))]) == 0
+    assert capsys.readouterr().out.count("0.0") == 1 + numeric.MAX_DIM
+
+
 def test_expect_rejects_a_string_edge_mass(tmp_path, capsys):
     assert main(["expect", "--graph", write(tmp_path / "g.json", two_node_graph("0.5", [1.0]))]) == 1
     captured = capsys.readouterr()
@@ -480,3 +497,11 @@ def test_cold_import_leaves_the_pool_module_to_pooled_runs(tmp_path):
         for record in report["records"]:
             del record["runtime"]  # wall-clock, the only field that varies
     assert sequential["records"] and parallel == sequential
+
+
+def test_cold_import_loads_no_dataclass_machinery():
+    # a fresh interpreter: this test process has imported dataclasses long ago
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import semiringlab.cli; " \
+           "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

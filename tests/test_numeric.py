@@ -406,7 +406,7 @@ def test_forward_pass_builds_only_the_sink_weight(monkeypatch):
 
     for name in ("lift_edge", "wmul", "wadd"):
         monkeypatch.setattr(numeric, name, counting(name, getattr(numeric, name)))
-    monkeypatch.setattr(NumericWeight, "__post_init__", counting("NumericWeight", NumericWeight.__post_init__))
+    monkeypatch.setattr(NumericWeight, "__init__", counting("NumericWeight", NumericWeight.__init__))
     total = forward_total(g)
     assert calls == {"lift_edge": 0, "wmul": 0, "wadd": 0, "NumericWeight": 1}
     assert total.p > 0.0
