@@ -42,13 +42,13 @@ from .ideals import (
     annihilator,
     enumerate_ideals,
     enumerate_subsemimodules,
-    is_maximal,
     is_primary,
     is_primary_submodule,
     is_prime,
     is_subtractive,
     is_weak_gaussian,
     is_weakly_prime,
+    maximal_ideals,
     radical,
     residual,
     submodule_radical,

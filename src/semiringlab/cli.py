@@ -18,17 +18,19 @@ from .construct import build_expectation
 from .elements import classify
 from .ideals import (
     enumerate_ideals,
-    is_maximal,
-    is_primary,
     is_prime,
     is_subtractive,
     is_weakly_prime,
-    radical,
+    maximal_ideals,
+    power_table,
+    primary_scan,
+    radical_members,
 )
 from .numeric import ZeroMass, brute_force_total, expectation_from_total, forward_total, graph_from_dict
 from .tables import (
     BaseMismatch,
     semimodule_to_dict,
+    semiring_as_module,
     semiring_to_dict,
     semimodule_violations,
     semiring_violations,
@@ -170,6 +172,8 @@ def cmd_ideals(args) -> int:
     semiring = validate_semiring(data)
     pairing = _pairing(data, semiring.size)
     ideals = enumerate_ideals(semiring)
+    maximal = {ideal.members for ideal in maximal_ideals(ideals)}
+    powers, self_module = power_table(semiring), semiring_as_module(semiring)
     rows = []
     for ideal in ideals:
         proper = ideal.is_proper()
@@ -179,10 +183,10 @@ def cmd_ideals(args) -> int:
             "proper": proper,
             "subtractive": is_subtractive(ideal),
             "prime": is_prime(ideal) if proper else None,
-            "maximal": is_maximal(ideal, ideals) if proper else None,
-            "primary": is_primary(ideal) if proper else None,
+            "maximal": ideal.members in maximal if proper else None,
+            "primary": primary_scan(ideal, self_module, ideal.members, powers) if proper else None,
             "weakly_prime": is_weakly_prime(ideal) if proper else None,
-            "radical": _member_labels(radical(ideal).members, pairing),
+            "radical": _member_labels(radical_members(powers, ideal.members), pairing),
         }
         rows.append(row)
     print(f"{semiring.name or args.instance}: {len(rows)} ideals")

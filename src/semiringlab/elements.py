@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .ideals import _power_in, ideal_violation
+from .ideals import is_ideal, power_table
 from .tables import Carrier, FiniteSemiring, semiring_as_module, v_set
 
 
@@ -20,8 +20,8 @@ class Census:
     A concept defined for modules as well as semirings reads a semiring as
     its self-module.  ``base`` is the census of the scalars (the census
     itself for a semiring); a module's census reads the scalar units and
-    nilpotents from it.  Units, idempotents, nilpotents and the semifield,
-    local and clean flags are defined for a semiring's census only.
+    nilpotents from it.  Units, idempotents, powers, nilpotents and the
+    semifield, local and clean flags are defined for a semiring's census only.
     """
 
     def __init__(self, structure: Carrier):
@@ -51,11 +51,15 @@ class Census:
         return frozenset(a for a in semiring.elements() if semiring.mul(a, a) == a)
 
     @cached_property
+    def powers(self) -> list[frozenset[int]]:
+        """The carrier's one ``power_table``: row b holds every power of b."""
+        return power_table(self.structure)
+
+    @cached_property
     def nilpotents(self) -> frozenset[int]:
-        """Elements with some power equal to zero (powers chased up to the carrier size)."""
-        semiring = self.structure
-        zero = frozenset({semiring.zero})
-        return frozenset(a for a in semiring.elements() if _power_in(semiring, a, zero))
+        """Elements with some power equal to zero, read from the power table."""
+        zero = self.structure.zero
+        return frozenset(a for a, row in enumerate(self.powers) if zero in row)
 
     @cached_property
     def zero_divisors(self) -> frozenset[int]:
@@ -99,7 +103,7 @@ class Census:
     def local(self) -> bool:
         """The nonunits form an ideal (on a finite carrier: a unique maximal ideal)."""
         semiring = self.structure
-        return ideal_violation(semiring, frozenset(semiring.elements()) - self.units) is None
+        return is_ideal(semiring, frozenset(semiring.elements()) - self.units)
 
     @cached_property
     def presimplifiable(self) -> bool:

@@ -21,9 +21,12 @@ keep the cost per closed set O(n): NextClosure ORs the multiples of the
 members below each index in one pass per closed set, and the ideal check is
 one C-level superset test per member and table (it reads column a of the
 commutative multiplication as row a); only a failing set takes the literal
-scan that names the first witness.
-Element powers are chased at most ``size`` steps, which suffices on a
-finite carrier because the power sequence cycles by then.
+scan that names the first witness, and a yes/no test (``is_ideal``) takes
+none.  Radicals and the primary scan read element powers from a power
+table, whose row b holds b, b^2, ..., b^size; each row is chased until a
+power repeats, which on a finite carrier lists every power.  A library call
+builds the table for itself; a verification cell reads its carrier's one
+table from the element census.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ def ideal_violation(semiring: FiniteSemiring, members: frozenset[int]) -> tuple[
     if members and _is_ideal(semiring.add_table, semiring.mul_table, members):
         return None
     return _violation(semiring.add_table, semiring.mul_table, members, "absorb")
+
+
+def is_ideal(semiring: FiniteSemiring, members: frozenset[int]) -> bool:
+    """True iff ``ideal_violation`` is None on a commutative multiplication, decided without naming a witness."""
+    return bool(members) and _is_ideal(semiring.add_table, semiring.mul_table, members)
 
 
 def submodule_violation(module: FiniteSemimodule, members: frozenset[int]) -> tuple[str, tuple[int, ...]] | None:
@@ -198,15 +206,23 @@ def is_subtractive(subset: Ideal | Subsemimodule) -> bool:
     return True
 
 
-def _power_in(semiring: FiniteSemiring, b: int, members: frozenset[int]) -> bool:
-    """True iff one of b, b^2, ..., b^size lies in ``members``."""
+def power_table(semiring: FiniteSemiring) -> list[frozenset[int]]:
+    """Row b: the powers b, b^2, ..., b^size of b, chased until one repeats."""
     mul = semiring.mul_table
-    power = b
-    for _ in range(semiring.size):
-        if power in members:
-            return True
-        power = mul[power][b]
-    return False
+    table = []
+    for b in range(semiring.size):
+        seen = set()
+        power = b
+        while power not in seen:
+            seen.add(power)
+            power = mul[power][b]
+        table.append(frozenset(seen))
+    return table
+
+
+def radical_members(powers: list[frozenset[int]], members: frozenset[int]) -> frozenset[int]:
+    """Elements with some power in ``members``, read from a ``power_table``."""
+    return frozenset(b for b, row in enumerate(powers) if not row.isdisjoint(members))
 
 
 def _prime_scan(ideal: Ideal, exempt: int | None) -> bool:
@@ -235,20 +251,28 @@ def is_weakly_prime(ideal: Ideal) -> bool:
     return _prime_scan(ideal, ideal.parent.zero)
 
 
-def is_maximal(ideal: Ideal, all_ideals: Sequence[Ideal]) -> bool:
-    """Proper, and no proper ideal in ``all_ideals`` (the ideals of its parent) strictly contains it."""
-    if not ideal.is_proper():
-        return False
-    for other in all_ideals:
-        if other.is_proper() and ideal.members < other.members:
-            return False
-    return True
+def maximal_ideals(ideals: Sequence[Ideal]) -> list[Ideal]:
+    """The maximal ideals among ``ideals``, every ideal of one carrier, in their given order.
+
+    One pass walks the proper ideals from the largest down and keeps each
+    that no ideal kept so far strictly contains: a larger ideal is met
+    first, and every proper ideal lies in a maximal one.
+    """
+    kept: list[frozenset[int]] = []
+    for ideal in sorted(ideals, key=len, reverse=True):
+        members = ideal.members
+        if ideal.is_proper() and not any(members < bigger for bigger in kept):
+            kept.append(members)
+    maximal = set(kept)
+    return [ideal for ideal in ideals if ideal.members in maximal]
 
 
-def _primary_scan(subset: Subset, module: FiniteSemimodule, carriers: frozenset[int]) -> bool:
+def primary_scan(
+    subset: Subset, module: FiniteSemimodule, carriers: frozenset[int], powers: list[frozenset[int]]
+) -> bool:
     """The subset is proper and sx in it with x outside it forces some power of s into ``carriers``.
 
-    Powers are chased once per scalar s that moves some x into the subset.
+    The powers of s are row s of ``powers``, the ``power_table`` of the base.
     """
     if not subset.is_proper():
         return False
@@ -257,7 +281,7 @@ def _primary_scan(subset: Subset, module: FiniteSemimodule, carriers: frozenset[
     for s, row in enumerate(module.action_table):
         for x in outside:
             if row[x] in members:
-                if not _power_in(module.base, s, carriers):
+                if powers[s].isdisjoint(carriers):
                     return False
                 break
     return True
@@ -268,19 +292,21 @@ def is_primary(ideal: Ideal) -> bool:
 
     This is the primary test of I in the self-module, whose residual (I : S) is I.
     """
-    return _primary_scan(ideal, semiring_as_module(ideal.parent), ideal.members)
+    semiring = ideal.parent
+    return primary_scan(ideal, semiring_as_module(semiring), ideal.members, power_table(semiring))
 
 
 def is_primary_submodule(submodule: Subsemimodule) -> bool:
     """sx in N with x not in N forces some power of s to carry M into N; False on M (proper by definition)."""
     module = submodule.parent
-    return _primary_scan(submodule, module, residual_members(module, submodule.members))
+    carriers = residual_members(module, submodule.members)
+    return primary_scan(submodule, module, carriers, power_table(module.base))
 
 
 def radical(ideal: Ideal) -> Ideal:
-    """Elements with some power in the ideal (powers chased up to the carrier size)."""
+    """Elements with some power in the ideal."""
     semiring = ideal.parent
-    return Ideal(semiring, frozenset(s for s in semiring.elements() if _power_in(semiring, s, ideal.members)))
+    return Ideal(semiring, radical_members(power_table(semiring), ideal.members))
 
 
 def residual_members(module: FiniteSemimodule, members: frozenset[int]) -> frozenset[int]:

@@ -39,15 +39,13 @@ from .ideals import (
     annihilator,
     enumerate_ideals,
     enumerate_subsemimodules,
-    ideal_violation,
-    is_maximal,
-    is_primary,
-    is_primary_submodule,
+    is_ideal,
     is_prime,
     is_subtractive,
     is_weakly_prime,
-    radical,
-    residual,
+    maximal_ideals,
+    primary_scan,
+    radical_members,
     residual_members,
 )
 from .numeric import oracle_disagreements, weight_law_failures
@@ -88,11 +86,14 @@ class PairContext(Record):
     The context is the cell's derived-data layer.  ``ideal`` and
     ``submodule`` return the enumerated object with a given member set, and
     ``once(derive, subset)`` memoises an ideal-layer function of ``ideals.py``
-    (``is_prime``, ``radical``, ``residual``, ...) per (function, carrier,
-    member set), so each fact is derived once per cell.  The element sets
-    and class flags come from one ``Census`` per carrier role; the scalar
-    census is the module census's base.  The memo and the censuses live and
-    die with the context; nothing is shared between cells.
+    (``is_prime``, ``is_subtractive``, ...) per (function, carrier, member
+    set), so each fact is derived once per cell.  Radicals, residuals and
+    the primary tests are the context's own, memoised alike: their powers
+    come from the carrier's one power table, and the radical or residual
+    ideal is read through ``ideal``, not validated again.  The element sets,
+    class flags and power tables come from one ``Census`` per carrier role;
+    the scalar census is the module census's base.  The memo and the
+    censuses live and die with the context; nothing is shared between cells.
     """
 
     _fields = ("label", "semiring", "module", "strongly_associate_only")
@@ -142,17 +143,50 @@ class PairContext(Record):
     def ideals_e(self) -> list[Ideal]:
         return enumerate_ideals(self.product)
 
-    def once(self, derive, subset: Subset):
-        """``derive(subset)``, computed on the first request in this cell.
+    def _memoised(self, name, subset: Subset, derive):
+        """``derive(subset)``, computed on the first request for (name, carrier, member set) in this cell.
 
-        The key is (derive, carrier, member set), with the carrier told apart
-        by identity, so each ideal-layer fact is derived once per cell.
+        The carrier is told apart by identity.
         """
-        key = (derive, id(subset.parent), subset.members)
+        key = (name, id(subset.parent), subset.members)
         memo = self._memo
         if key not in memo:
             memo[key] = derive(subset)
         return memo[key]
+
+    def once(self, derive, subset: Subset):
+        """``derive(subset)`` for an ideal-layer function of ``ideals.py``, derived once per cell."""
+        return self._memoised(derive, subset, derive)
+
+    def _role(self, subset: Subset) -> str:
+        parent = subset.parent
+        return "scalar" if parent is self.semiring else "module" if parent is self.module else "product"
+
+    def radical(self, ideal: Ideal) -> Ideal:
+        """The radical of a scalar or product ideal, read from the enumeration."""
+        role = self._role(ideal)
+        powers = getattr(self, f"{role}_census").powers
+        return self._memoised("radical", ideal, lambda i: self.ideal(role, radical_members(powers, i.members)))
+
+    def residual(self, submodule: Subsemimodule) -> Ideal:
+        """The residual (N : M) of a subsemimodule, read from the scalar enumeration."""
+        derive = lambda n: self.ideal("scalar", residual_members(self.module, n.members))
+        return self._memoised("residual", submodule, derive)
+
+    def annihilator(self) -> Ideal:
+        """The residual of the zero subsemimodule."""
+        return self.residual(self.submodule(frozenset({self.module.zero})))
+
+    def is_primary(self, subset: Ideal | Subsemimodule) -> bool:
+        """``ideals.is_primary`` of an ideal, or ``is_primary_submodule`` of a subsemimodule."""
+        role = self._role(subset)
+        census = getattr(self, f"{role}_census")
+
+        def derive(x: Subset) -> bool:
+            carriers = self.residual(x).members if role == "module" else x.members
+            return primary_scan(x, census.module, carriers, census.base.powers)
+
+        return self._memoised("is_primary", subset, derive)
 
     def _listed(self, role: str, members: frozenset[int]) -> Subset | None:
         """The enumerated ideal or subsemimodule of ``role`` with these members, if any."""
@@ -191,7 +225,7 @@ class PairContext(Record):
     @cached_property
     def _legal_boxes(self) -> dict[tuple[frozenset[int], frozenset[int]], tuple[Ideal, Subsemimodule]]:
         """Legal (I, N) pairs, I inside (N : M), keyed by their member sets; decided once per cell."""
-        residuals = [residual_members(self.module, n.members) for n in self.submods_m]
+        residuals = [self.residual(n).members for n in self.submods_m]
         return {
             (i.members, n.members): (i, n)
             for i in self.ideals_s
@@ -281,11 +315,8 @@ def _first_non_box(ctx: PairContext, role: str, ideals, qualifies) -> dict | Non
     return None
 
 
-def _annihilator_condition_violations(
-    semiring: FiniteSemiring, module: FiniteSemimodule
-) -> list[tuple[int, int]]:
-    """Pairs of nonzero scalars with zero product where one of them fails to annihilate the module."""
-    ann = annihilator(module).members
+def _annihilator_condition_violations(semiring: FiniteSemiring, ann: frozenset[int]) -> list[tuple[int, int]]:
+    """Pairs of nonzero scalars with zero product where one of them is outside the annihilator ``ann``."""
     zero = semiring.zero
     return [
         (a, b)
@@ -351,7 +382,7 @@ def check_box_ideal_iff(ctx: PairContext):
         for n in ctx.submods_m:
             legal = (i.members, n.members) in ctx._legal_boxes
             members = box_members(ctx.instance, i.members, n.members)
-            actually_ideal = ideal_violation(e_ring, members) is None
+            actually_ideal = is_ideal(e_ring, members)
             if legal != actually_ideal:
                 return FAIL, {"ideal": sorted(i.members), "submodule": sorted(n.members)}
             if not legal:
@@ -372,8 +403,8 @@ def check_box_ideal_iff(ctx: PairContext):
 
 def check_box_radical(ctx: PairContext):
     for i, _n, box in ctx.boxables:
-        expected = box_members(ctx.instance, ctx.once(radical, i).members, ctx.full_module.members)
-        got = ctx.once(radical, box).members
+        expected = box_members(ctx.instance, ctx.radical(i).members, ctx.full_module.members)
+        got = ctx.radical(box).members
         if got != expected:
             return FAIL, {
                 "ideal": sorted(i.members),
@@ -390,7 +421,7 @@ def check_projections(ctx: PairContext):
             i, n = ctx.ideal("scalar", scalar), ctx.submodule(vector)
         except (NotAnIdeal, NotASubmodule) as exc:
             return FAIL, {"reason": str(exc), "ideal": ctx.pairs_of(j.members)}
-        if not i.members <= ctx.once(residual, n).members:
+        if not i.members <= ctx.residual(n).members:
             return FAIL, {"reason": "projection violates containment", "ideal": ctx.pairs_of(j.members)}
         if not j.members <= box_members(ctx.instance, i.members, n.members):
             return FAIL, {"reason": "ideal escapes its projection box"}
@@ -439,14 +470,14 @@ def check_weak_gaussian_shapes(ctx: PairContext):
     prime_qualifies = lambda i: ctx.once(is_prime, i) and ctx.once(is_subtractive, i)
     witness = _first_non_box(ctx, "prime", ctx.primes_e, prime_qualifies)
     if witness is None:
-        maximals = [j for j in ctx.ideals_e if is_maximal(j, ctx.ideals_e)]
-        maximal_qualifies = lambda i: is_maximal(i, ctx.ideals_s) and ctx.once(is_subtractive, i)
-        witness = _first_non_box(ctx, "maximal", maximals, maximal_qualifies)
+        maximal_s = {i.members for i in maximal_ideals(ctx.ideals_s)}
+        maximal_qualifies = lambda i: i.members in maximal_s and ctx.once(is_subtractive, i)
+        witness = _first_non_box(ctx, "maximal", maximal_ideals(ctx.ideals_e), maximal_qualifies)
     return (FAIL, witness) if witness else (PASS, None)
 
 
 def check_weakly_prime_lift(ctx: PairContext):
-    if _annihilator_condition_violations(ctx.semiring, ctx.module):
+    if _annihilator_condition_violations(ctx.semiring, ctx.annihilator().members):
         return PASS, None
     for i in ctx.ideals_s:
         if not ctx.once(is_weakly_prime, i):
@@ -459,28 +490,28 @@ def check_weakly_prime_lift(ctx: PairContext):
 def check_residual_and_primary_radical(ctx: PairContext):
     for n in ctx.submods_m:
         try:
-            residual_ideal = ctx.once(radical, ctx.once(residual, n))
+            residual_ideal = ctx.radical(ctx.residual(n))
         except NotAnIdeal as exc:
             return FAIL, {"submodule": sorted(n.members), "reason": str(exc)}
-        if ctx.once(is_primary_submodule, n) and not ctx.once(is_prime, residual_ideal):
+        if ctx.is_primary(n) and not ctx.once(is_prime, residual_ideal):
             return FAIL, {"submodule": sorted(n.members), "radical": sorted(residual_ideal.members)}
     return PASS, None
 
 
 def check_primary_box_iff(ctx: PairContext):
     for i in ctx.ideals_s:
-        if ctx.once(is_primary, i) != ctx.once(is_primary, ctx.full_module_boxes[i.members]):
+        if ctx.is_primary(i) != ctx.is_primary(ctx.full_module_boxes[i.members]):
             return FAIL, {"ideal": sorted(i.members)}
     return PASS, None
 
 
 def check_primary_box_consequences(ctx: PairContext):
     for i, n, box in ctx.boxables:
-        if not n.is_proper() or not ctx.once(is_primary, box):
+        if not n.is_proper() or not ctx.is_primary(box):
             continue
-        if not ctx.once(is_primary_submodule, n):
+        if not ctx.is_primary(n):
             return FAIL, {"submodule": sorted(n.members)}
-        if ctx.once(radical, i).members != ctx.once(radical, ctx.once(residual, n)).members:
+        if ctx.radical(i).members != ctx.radical(ctx.residual(n)).members:
             return FAIL, {"ideal": sorted(i.members), "submodule": sorted(n.members)}
     return PASS, None
 
@@ -492,9 +523,9 @@ def check_primary_box_with_subtractive_module(ctx: PairContext):
         if not n.is_proper():
             continue
         # A primary box forces I primary, by (a, 0)(b, 0) = (ab, 0).
-        radicals_agree = ctx.once(radical, i).members == ctx.once(radical, ctx.once(residual, n)).members
-        expected = ctx.once(is_primary, i) and ctx.once(is_primary_submodule, n) and radicals_agree
-        if ctx.once(is_primary, box) != expected:
+        radicals_agree = ctx.radical(i).members == ctx.radical(ctx.residual(n)).members
+        expected = ctx.is_primary(i) and ctx.is_primary(n) and radicals_agree
+        if ctx.is_primary(box) != expected:
             return FAIL, {"ideal": sorted(i.members), "submodule": sorted(n.members)}
     return PASS, None
 
@@ -537,7 +568,7 @@ def check_nilpotents_formula(ctx: PairContext):
     expected = box_members(ctx.instance, ctx.nil_s, ctx.full_module.members)
     if ctx.nil_e != expected:
         return FAIL, {"nilpotents": ctx.pairs_of(ctx.nil_e)}
-    if ideal_violation(ctx.product, ctx.nil_e) is not None:
+    if not is_ideal(ctx.product, ctx.nil_e):
         return FAIL, {"reason": "nilpotents do not form an ideal"}
     return PASS, None
 
@@ -764,7 +795,7 @@ def weakly_prime_forward_probe() -> dict:
     module = catalog.self_module(semiring)
     instance = build_expectation(semiring, module)
     box_wp = is_weakly_prime(Ideal(instance.product, box_members(instance, {0, 2}, module.elements())))
-    violating = _annihilator_condition_violations(semiring, module)
+    violating = _annihilator_condition_violations(semiring, annihilator(module).members)
     condition_holds = not violating
     return {
         "id": "weakly-prime-forward-probe",

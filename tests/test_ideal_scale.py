@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from semiringlab import build_expectation, builtin, enumerate_ideals, self_module
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "ideal_scale.py"
@@ -33,7 +35,9 @@ def test_small_carrier_counts_its_ideals():
     record = load_script().measure("E(boolean, boolean)", product)
     assert (record["carrier"], record["size"]) == ("E(boolean, boolean)", 4)
     assert record["closed_sets"] == len(enumerate_ideals(product))
-    assert all(record[key] >= 0.0 for key in ("closed_sets_s", "validate_s", "total_s"))
+    stages = ("closed_sets_s", "validate_s", "predicates_s")
+    assert all(record[key] >= 0.0 for key in (*stages, "total_s"))
+    assert record["total_s"] == pytest.approx(sum(record[key] for key in stages), abs=2e-4)
 
 
 def test_main_appends_one_record_per_run(capsys, monkeypatch, tmp_path):

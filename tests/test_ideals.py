@@ -17,13 +17,13 @@ from semiringlab import (
     default_grid,
     enumerate_ideals,
     enumerate_subsemimodules,
-    is_maximal,
     is_primary,
     is_primary_submodule,
     is_prime,
     is_subtractive,
     is_weak_gaussian,
     is_weakly_prime,
+    maximal_ideals,
     radical,
     residual,
     run_pair,
@@ -211,7 +211,7 @@ def test_prime_maximal_primary_on_zmod4():
     z4 = builtin("zmod_4")
     ideals = enumerate_ideals(z4)
     evens = Ideal(z4, frozenset({0, 2}))
-    assert is_prime(evens) and is_maximal(evens, ideals) and is_primary(evens)
+    assert is_prime(evens) and evens in maximal_ideals(ideals) and is_primary(evens)
     zero = Ideal(z4, frozenset({0}))
     assert not is_prime(zero)
     assert is_primary(zero)
@@ -231,7 +231,7 @@ def test_predicates_reject_improper_ideals():
     z4 = builtin("zmod_4")
     whole = Ideal(z4, frozenset(range(4)))
     ideals = enumerate_ideals(z4)
-    for predicate in (is_prime, is_primary, is_weakly_prime, lambda i: is_maximal(i, ideals)):
+    for predicate in (is_prime, is_primary, is_weakly_prime, lambda i: i in maximal_ideals(ideals)):
         assert predicate(whole) is False
 
 

@@ -4,7 +4,10 @@ Every semiring, module and product of the default order-3 grid is scanned,
 with each of its ideals and subsemimodules; the element predicates that take
 a semiring or a module are checked on both.  The oracles below read the
 definitions word for word: all powers of an element are listed until one
-repeats, and nothing is shared with the library's scans.  The verdict and
+repeats, and nothing is shared with the library's scans.  The power table,
+nilpotents, radicals, primary tests and maximal ideals, and each cell's own
+radicals, residuals and primary tests (``PairContext``), are compared on the
+default grid and on the catalog products of 17-32 elements.  The verdict and
 first witness of the ideal and subsemimodule closure tests, and the message
 of the refusing constructor, are compared on every subset of a carrier of at
 most ``WITNESS_CARRIER`` elements.  On the larger grid products (10-16
@@ -39,12 +42,12 @@ from semiringlab import (
     enumerate_semimodules,
     enumerate_semirings,
     enumerate_subsemimodules,
-    is_maximal,
     is_primary,
     is_primary_submodule,
     is_prime,
     is_subtractive,
     is_weakly_prime,
+    maximal_ideals,
     radical,
     residual,
     semimodule_to_dict,
@@ -55,7 +58,7 @@ from semiringlab import (
     validate_semiring,
 )
 from semiringlab.construct import _is_graded, box_members, projections
-from semiringlab.ideals import NotASubmodule, Subsemimodule, ideal_violation, submodule_violation
+from semiringlab.ideals import NotASubmodule, Subsemimodule, ideal_violation, power_table, submodule_violation
 from semiringlab.tables import FiniteSemiring, InvalidStructure, first_nonassociative, first_nondistributive
 from semiringlab.theorems import PairContext
 
@@ -93,6 +96,12 @@ def module_zero_divisors_of(module):
         s for s in module.base.elements()
         if any(x != module.zero and module.act(s, x) == module.zero for x in module.elements())
     }
+
+
+def maximal_oracle(ideals):
+    """Member sets of the proper ideals that no proper ideal strictly contains, in enumeration order."""
+    proper = [i.members for i in ideals if i.is_proper()]
+    return [m for m in proper if not any(m < other for other in proper)]
 
 
 def radical_of(semiring, members):
@@ -285,19 +294,44 @@ def check_semiring(semiring):
     assert got == expected, name
     ideals = enumerate_ideals(semiring)
     check_witnesses(semiring, [ideal.members for ideal in ideals])
+    check_power_predicates(semiring, ideals)
+    for ideal in ideals:
+        members = ideal.members
+        where = (name, sorted(members))
+        assert is_subtractive(ideal) == subtractive_oracle(semiring, members), where
+        if not ideal.is_proper():
+            assert (is_prime(ideal), is_weakly_prime(ideal)) == (False, False), where
+            continue
+        assert is_prime(ideal) == prime_oracle(semiring, members), where
+        assert is_weakly_prime(ideal) == prime_oracle(semiring, members, weakly=True), where
+    return ideals
+
+
+def check_power_predicates(semiring, ideals):
+    """The power table, nilpotents, radicals, primary tests and maximal ideals against the literal oracles."""
+    name = semiring.name
+    assert power_table(semiring) == [powers(semiring, b) for b in semiring.elements()], name
+    assert Census(semiring).nilpotents == nilpotents_of(semiring), name
     for ideal in ideals:
         members = ideal.members
         where = (name, sorted(members))
         assert radical(ideal).members == radical_of(semiring, members), where
-        assert is_subtractive(ideal) == subtractive_oracle(semiring, members), where
-        if not ideal.is_proper():
-            verdicts = (is_prime(ideal), is_weakly_prime(ideal), is_primary(ideal), is_maximal(ideal, ideals))
-            assert verdicts == (False,) * 4, where
-            continue
-        assert is_prime(ideal) == prime_oracle(semiring, members), where
-        assert is_weakly_prime(ideal) == prime_oracle(semiring, members, weakly=True), where
-        assert is_primary(ideal) == primary_oracle(semiring, members), where
-    return ideals
+        assert is_primary(ideal) == (ideal.is_proper() and primary_oracle(semiring, members)), where
+    assert [i.members for i in maximal_ideals(ideals)] == maximal_oracle(ideals), name
+
+
+def check_context_reads(ctx):
+    """A cell's radicals, residuals and primary tests, read from its power tables, against the oracles."""
+    for role, carrier, listed in (("scalar", ctx.semiring, ctx.ideals_s), ("product", ctx.product, ctx.ideals_e)):
+        for i in listed:
+            where = (ctx.label, role, sorted(i.members))
+            assert ctx.radical(i).members == radical_of(carrier, i.members), where
+            assert ctx.is_primary(i) == (i.is_proper() and primary_oracle(carrier, i.members)), where
+    module = ctx.module
+    for n in ctx.submods_m:
+        where = (ctx.label, "module", sorted(n.members))
+        assert ctx.residual(n).members == residual_oracle(module, n.members), where
+        assert ctx.is_primary(n) == (n.is_proper() and primary_submodule_oracle(module, n.members)), where
 
 
 def check_module(module):
@@ -348,7 +382,9 @@ def test_predicates_match_literal_definitions_on_default_grid():
         by_parts = all(sum_of(semiring, a, good, idempotents_of(semiring)) for a in semiring.elements())
         assert Census(semiring).almost_clean_by_parts(Census(module)) == by_parts, cell.label
 
-        boxables = PairContext(cell.label, semiring, module).boxables
+        ctx = PairContext(cell.label, semiring, module)
+        check_context_reads(ctx)
+        boxables = ctx.boxables
         listed = {(i.members, n.members): box.members for i, n, box in boxables}
         assert len(listed) == len(boxables), cell.label
         legal = 0
@@ -364,6 +400,18 @@ def test_predicates_match_literal_definitions_on_default_grid():
                     Ideal(instance.product, box_members(instance, i.members, n.members))
         assert legal == len(listed), cell.label
     assert len(cells) == 68
+
+
+def test_power_predicates_on_catalog_lattice_products():
+    # the products of 17-32 elements that max_product=32 adds to the catalog
+    sizes = []
+    for name, semiring, module in catalog.builtin_pairs(max_product=32):
+        if 16 < semiring.size * module.size:
+            ctx = PairContext(f"E({name}, {module.name})", semiring, module)
+            check_power_predicates(ctx.product, ctx.ideals_e)
+            check_context_reads(ctx)
+            sizes.append(ctx.product.size)
+    assert sizes == [27, 27, 27, 25, 18]
 
 
 @pytest.mark.parametrize(

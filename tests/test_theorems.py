@@ -10,6 +10,7 @@ from semiringlab import (
     build_expectation,
     builtin,
     catalog,
+    elements,
     ideals,
     run_pair,
     run_suite,
@@ -84,8 +85,9 @@ def test_census_entries_are_computed_once_per_carrier(monkeypatch):
 
 
 def test_ideal_layer_facts_are_derived_once_per_cell(monkeypatch):
-    # The cell context memoises the ideal-layer predicates by carrier role
-    # and member set, so each runs at most once per distinct argument.
+    # The cell context memoises the ideal-layer facts by carrier role and
+    # member set: each predicate, radical, residual and primary test runs at
+    # most once per distinct argument, and each carrier builds one power table.
     semiring = catalog.enumerate_semirings(3)[0]
     module = catalog.enumerate_semimodules(semiring, 3)[0]
     assert len(ideals.enumerate_ideals(semiring)) == 3
@@ -96,21 +98,73 @@ def test_ideal_layer_facts_are_derived_once_per_cell(monkeypatch):
             return "module"
         return "scalar" if carrier == semiring else "product"
 
+    sizes = {semiring.size: "scalar", semiring.size * module.size: "product"}
+    keys = {
+        "is_prime": lambda subset: (role(subset.parent), subset.members),
+        "is_subtractive": lambda subset: (role(subset.parent), subset.members),
+        "radical_members": lambda powers, members: (sizes[len(powers)], members),
+        "residual_members": lambda module, members: ("module", members),
+        "primary_scan": lambda subset, module, carriers, powers: (role(subset.parent), subset.members),
+        "power_table": lambda carrier: (role(carrier), None),
+    }
     calls = Counter()
-    for name in ("is_prime", "radical", "is_primary", "is_subtractive"):
-        original = getattr(ideals, name)
+    for name, key in keys.items():
+        owner = elements if name == "power_table" else theorems
+        original = getattr(owner, name)
 
-        def counted(subset, _name=name, _original=original):
-            calls[_name, role(subset.parent), subset.members] += 1
-            return _original(subset)
+        def counted(*args, _name=name, _key=key, _original=original):
+            calls[(_name, *_key(*args))] += 1
+            return _original(*args)
 
-        for owner in (ideals, theorems):
-            if getattr(owner, name, None) is original:
-                monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     records, _census = run_pair("E(S3.00, M3.00)", semiring, module)
     assert all(r.status != FAIL for r in records)
-    assert {name for name, _role, _members in calls} == {"is_prime", "radical", "is_primary", "is_subtractive"}
+    assert {name for name, _role, _members in calls} == set(keys)
     assert {key: n for key, n in calls.items() if n > 1} == {}
+    assert {role for name, role, _members in calls if name == "power_table"} == {"scalar", "product"}
+    # every radical and primary test the checks need is derived: those of each
+    # scalar ideal, legal box, residual and subsemimodule
+    ctx = PairContext(label="E(S3.00, M3.00)", semiring=semiring, module=module)
+    residuals = [ideals.residual(n).members for n in ctx.submods_m]
+    needed = {("radical_members", "scalar", i.members) for i in ctx.ideals_s}
+    needed |= {("radical_members", "product", box.members) for _i, _n, box in ctx.boxables}
+    needed |= {("radical_members", "scalar", members) for members in residuals}
+    needed |= {("residual_members", "module", n.members) for n in ctx.submods_m}
+    needed |= {("primary_scan", "scalar", i.members) for i in ctx.ideals_s}
+    needed |= {("primary_scan", "module", n.members) for n in ctx.submods_m}
+    needed |= {("primary_scan", "product", box.members) for box in ctx.full_module_boxes.values()}
+    assert needed <= calls.keys()
+
+
+def test_context_reads_radicals_residuals_and_annihilator_from_the_enumeration(monkeypatch):
+    # A cell's radicals, residuals and annihilator are its enumerated objects,
+    # and no member set of a carrier reaches a validating constructor twice.
+    z4 = builtin("zmod_4")
+    module = self_module(z4)
+    ctx = PairContext(label="E(zmod_4, zmod_4)", semiring=z4, module=module)
+    listed = lambda subsets, found: any(found is x for x in subsets)
+    for enumerated in (ctx.ideals_s, ctx.ideals_e):
+        for i in enumerated:
+            assert listed(enumerated, ctx.radical(i))
+            assert ctx.radical(i).members == ideals.radical(i).members
+    for n in ctx.submods_m:
+        assert listed(ctx.ideals_s, ctx.residual(n))
+        assert ctx.residual(n).members == ideals.residual(n).members
+    assert listed(ctx.ideals_s, ctx.annihilator())
+    assert ctx.annihilator().members == ideals.annihilator(module).members == {0}
+
+    built = Counter()
+    for cls in (Ideal, Subsemimodule):
+
+        def counting(self, parent, members, _init=cls.__init__):
+            built[id(parent), members] += 1
+            _init(self, parent, members)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    records, _census = run_pair("E(zmod_4, zmod_4)", z4, module)
+    assert all(r.status != FAIL for r in records)
+    assert len(built) == len(ctx.ideals_s) + len(ctx.submods_m) + len(ctx.ideals_e)
+    assert max(built.values()) == 1
 
 
 def test_context_ideal_reads_the_enumeration_and_validates_the_rest():
@@ -296,7 +350,7 @@ def test_product_check_lists_violated_axioms_of_a_broken_module():
 
 # The even ideal boxed with the whole module: the one prime and maximal ideal of E(zmod_4, zmod_4).
 EVEN_BOX = [[s, x] for s in (0, 2) for x in range(4)]
-REAL_IS_PRIME, REAL_IS_MAXIMAL = ideals.is_prime, ideals.is_maximal
+REAL_IS_PRIME, REAL_MAXIMAL_IDEALS = ideals.is_prime, ideals.maximal_ideals
 
 
 @pytest.mark.parametrize(
@@ -309,7 +363,7 @@ REAL_IS_PRIME, REAL_IS_MAXIMAL = ideals.is_prime, ideals.is_maximal
         ({"is_prime": lambda ideal: False, "_full_module_box_scalars": lambda *args: None},
          {"Thm-2.6-7": None, "Cor-2.8": {"maximal": EVEN_BOX}}),
         ({"is_prime": lambda ideal: False,
-          "is_maximal": lambda ideal, among: ideal.parent.size == 16 and REAL_IS_MAXIMAL(ideal, among)},
+          "maximal_ideals": lambda among: REAL_MAXIMAL_IDEALS(among) if among[0].parent.size == 16 else []},
          {"Thm-2.6-7": None, "Cor-2.8": {"scalar_part": [0, 2]}}),
     ],
     ids=["no-box", "scalar-part-not-prime", "maximal-no-box", "scalar-part-not-maximal"],

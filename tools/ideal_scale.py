@@ -1,4 +1,4 @@
-"""Time NextClosure and the validation of its output on product carriers of 27 and 64 elements.
+"""Time NextClosure, the validation of its output and the per-ideal report work on carriers of 27 and 64 elements.
 
     python3 tools/ideal_scale.py
 
@@ -10,8 +10,11 @@ order-2 semiring S2.01 and its order-4 module M4.00, acting on itself, whose
 product ``E(P, P)`` has 64 elements.  For each carrier the script prints one
 JSON line with its label, its size, the number of closed sets (its ideals),
 the wall time of ``ideals._closed_sets`` on the carrier as a module over
-itself and the wall time of building an ``Ideal`` from each set, which
-validates it.  It then appends one record (the ``HEAD`` commit of this
+itself, the wall time of building an ``Ideal`` from each set, which
+validates it, and the wall time of the radical and the maximal flag of every
+ideal as ``ideals --report`` computes them: one power table for the carrier,
+and one pass for the maximal ideals.  ``total_s`` is the sum of the three
+stages.  It then appends one record (the ``HEAD`` commit of this
 checkout, as ``tools/dag_scale.py`` records it, and the printed lines) to
 ``BENCH_ideal_scale.json`` in the working directory.  The 64-element carrier
 has 165,554 ideals and takes tens of seconds.
@@ -29,7 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
 from bench_pairs import append_record, head_commit  # noqa: E402
 from semiringlab import build_expectation, catalog, enumerate_semimodules, enumerate_semirings  # noqa: E402
-from semiringlab.ideals import Ideal, _closed_sets  # noqa: E402
+from semiringlab.ideals import Ideal, _closed_sets, maximal_ideals, power_table, radical_members  # noqa: E402
 from semiringlab.tables import FiniteSemiring, semiring_as_module  # noqa: E402
 
 BUILTIN_CELLS = ("E(chain_2, chain_2xchain_2)", "E(trunc_nat_2, trunc_nat_2xtrunc_nat_2)")
@@ -48,21 +51,26 @@ def carriers() -> list[tuple[str, FiniteSemiring]]:
 
 
 def measure(label: str, semiring: FiniteSemiring) -> dict:
-    """One JSON-ready record: NextClosure on ``semiring`` over itself, then an Ideal per closed set."""
+    """One JSON-ready record: NextClosure on ``semiring`` over itself, an Ideal per closed set, their predicates."""
     start = time.perf_counter()
     sets = _closed_sets(semiring_as_module(semiring))
     closed_sets_s = time.perf_counter() - start
     start = time.perf_counter()
-    for members in sets:
-        Ideal(semiring, members)
+    ideals = [Ideal(semiring, members) for members in sets]
     validate_s = time.perf_counter() - start
+    start = time.perf_counter()
+    powers = power_table(semiring)
+    maximal = {ideal.members for ideal in maximal_ideals(ideals)}
+    [(radical_members(powers, ideal.members), ideal.members in maximal) for ideal in ideals]  # the two report columns
+    predicates_s = time.perf_counter() - start
     return {
         "carrier": label,
         "size": semiring.size,
         "closed_sets": len(sets),
         "closed_sets_s": round(closed_sets_s, 4),
         "validate_s": round(validate_s, 4),
-        "total_s": round(closed_sets_s + validate_s, 4),
+        "predicates_s": round(predicates_s, 4),
+        "total_s": round(closed_sets_s + validate_s + predicates_s, 4),
     }
 
 
